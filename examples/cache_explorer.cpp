@@ -36,13 +36,16 @@
  * plus the shared --jobs / --checkpoint / --resume / --audit /
  * --metrics-out / --trace-out families, which keep their meaning.
  *
- * Parallelism (docs/parallelism.md): every swept configuration is an
- * independent leg (its own workload, runner, fault RNG, metrics stream
- * and checkpoint) executed on a work-stealing pool:
+ * Parallelism (docs/parallelism.md): every swept configuration is a
+ * leg (its own runner, fault RNG, metrics stream and checkpoint); the
+ * legs are split into min(N, legs) contiguous lockstep groups, each
+ * building one workload and rendering every frame once for all its
+ * legs, executed on a work-stealing pool:
  *   --jobs=N   worker threads (default: MLTC_JOBS env, else hardware
- *              concurrency; --jobs 1 = serial). Output bytes are
- *              invariant to N: tables, CSVs, merged metrics and
- *              snapshots are identical for --jobs 1 and --jobs 8.
+ *              concurrency; --jobs 1 = one group, each frame rendered
+ *              once). Output bytes are invariant to N: tables, CSVs,
+ *              merged metrics and snapshots are identical for
+ *              --jobs 1 and --jobs 8.
  *
  * Any sweep accepts the --faults / --fault-* / --retry-* family (see
  * host/host_cli.hpp) to run it over the fault-injectable host backend;
@@ -134,7 +137,7 @@ struct Candidate
 /** Everything one finished leg leaves behind for the report phase. */
 struct LegState
 {
-    Workload wl;
+    std::shared_ptr<Workload> wl; ///< shared by the leg's lockstep group
     std::unique_ptr<MultiConfigRunner> runner;
     std::unique_ptr<Observability> obs;
     std::unique_ptr<ReuseProfiler> profiler;
@@ -440,22 +443,27 @@ main(int argc, char **argv)
                 sweep.c_str(), workload.c_str(), frames,
                 filterModeName(cfg.filter), candidates.size(), jobs);
 
-    // Each candidate is one leg: own workload (private TextureManager),
-    // own runner + sim (private fault RNG stream), own metrics stream
-    // and checkpoint. Results land in leg-indexed slots; every file and
-    // table below is emitted in leg order, so output bytes cannot
-    // depend on the pool's schedule.
+    // Each candidate is one leg: own runner + sim (private fault RNG
+    // stream), own metrics stream and checkpoint. --jobs J splits the
+    // legs into min(J, legs) lockstep groups that each build one
+    // workload and render every frame once for all their legs. Results
+    // land in leg-indexed slots; every file and table below is emitted
+    // in leg order, so output bytes depend on neither the pool's
+    // schedule nor the grouping.
     std::vector<std::unique_ptr<LegState>> legs(candidates.size());
     SweepExecutor executor(jobs);
     if (obs.telemetry()) {
         obs.telemetry()->publishHealth("{\"status\":\"serving\"}");
         executor.setTelemetry(obs.telemetry());
     }
+    executor.setGroupWorkload([&] { return buildWorkload(workload); });
     for (size_t i = 0; i < candidates.size(); ++i) {
-        executor.addLeg(candidates[i].label, [&, i](LegContext &ctx) {
+        LockstepLegBody body;
+        body.setup = [&, i](LegContext &,
+                            const std::shared_ptr<Workload> &wl) {
             auto leg = std::make_unique<LegState>();
-            leg->wl = buildWorkload(workload);
-            leg->runner = std::make_unique<MultiConfigRunner>(leg->wl, cfg);
+            leg->wl = wl;
+            leg->runner = std::make_unique<MultiConfigRunner>(*wl, cfg);
             leg->runner->addSim(candidates[i].config, candidates[i].label);
 
             if (!obs_cfg.metrics_path.empty()) {
@@ -479,7 +487,7 @@ main(int argc, char **argv)
             // Reuse-distance profiler: attached to the first swept
             // configuration (every sweep sees the identical reference
             // stream, so one profiled sim predicts the whole capacity
-            // axis). Must be attached before runSupervised so a
+            // axis). Must be attached before the run starts so a
             // --resume checkpoint restores profiler state.
             if (i == 0 && prof_cli.enabled) {
                 ReuseProfilerConfig pc = prof_cli;
@@ -493,22 +501,34 @@ main(int argc, char **argv)
                 first.setReuseProfiler(leg->profiler.get());
             }
 
-            leg->manifest =
-                leg->runner->runSupervised(legResilience(resilience, i));
-            if (leg->manifest.outcome != RunOutcome::Completed)
+            LockstepLeg slot;
+            slot.runner = leg->runner.get();
+            slot.rc = legResilience(resilience, i);
+            legs[i] = std::move(leg);
+            return slot;
+        };
+        body.finish = [&, i](LegContext &ctx, const RunManifest &manifest) {
+            LegState &leg = *legs[i];
+            leg.manifest = manifest;
+            if (manifest.outcome != RunOutcome::Completed)
                 ctx.printf("leg '%s' %s after %d frames%s\n",
                            candidates[i].label.c_str(),
-                           runOutcomeName(leg->manifest.outcome),
-                           leg->manifest.frames_completed,
-                           leg->manifest.checkpoint.empty()
+                           runOutcomeName(manifest.outcome),
+                           manifest.frames_completed,
+                           manifest.checkpoint.empty()
                                ? ""
                                : " (rerun with --resume to finish)");
-            if (leg->obs)
-                leg->obs->close();
-            legs[i] = std::move(leg);
-        });
+            if (leg.obs)
+                leg.obs->close();
+        };
+        executor.addLockstepLeg(candidates[i].label, std::move(body));
     }
     const SweepManifest sweep_manifest = executor.run();
+    // A leg that failed leaves nothing to report (and closes its
+    // metrics part before the merge below).
+    for (size_t i = 0; i < legs.size(); ++i)
+        if (sweep_manifest.legs[i].outcome != LegOutcome::Completed)
+            legs[i].reset();
     if (obs.telemetry())
         obs.telemetry()->publishHealth(
             sweep_manifest.allCompleted()

@@ -5,9 +5,12 @@
 # Runs cache_explorer (stdout, merged metrics JSONL, MRC/working-set
 # CSVs, heatmap JSON, per-leg snapshots, sweep manifest) and three
 # representative bench drivers (stdout + CSVs) at --jobs 1 and --jobs 8
-# and byte-compares everything. The only permitted differences are the
-# worker count echoed in the banner and absolute paths, which are
-# normalized before the diff. See docs/parallelism.md.
+# and byte-compares everything. cache_explorer also runs at --jobs 3,
+# whose lockstep groups of 2/2/1 legs share one render each, and
+# across groupings: killed (SIGKILL) at --jobs 1, resumed at --jobs 3.
+# The only permitted differences are the worker count echoed in the
+# banner and absolute paths, which are normalized before the diff. See
+# docs/parallelism.md.
 #
 # Usage: scripts/check_parallel_invariance.sh [build-dir]
 set -eu
@@ -23,36 +26,72 @@ normalize() { # file jobsdir
     sed -e 's/[0-9][0-9]* jobs/N jobs/' -e "s#$2#OUT#g" "$1"
 }
 
-explorer() { # jobs outdir
-    mkdir -p "$2"
+explorer() { # jobs outdir [extra flags...]
+    jobs="$1"; out="$2"; shift 2
+    mkdir -p "$out"
     "$BUILD/examples/cache_explorer" --sweep l2 --workload village \
-        --frames 2 --jobs "$1" \
-        --metrics-out "$2/run.jsonl" \
-        --mrc-out "$2/mrc" --heatmap-out "$2/heat" --mrc-interval 2 \
-        --checkpoint "$2/ckpt.snap" --checkpoint-every 1 \
-        > "$2/stdout.txt"
+        --frames 2 --jobs "$jobs" \
+        --metrics-out "$out/run.jsonl" \
+        --mrc-out "$out/mrc" --heatmap-out "$out/heat" --mrc-interval 2 \
+        --checkpoint "$out/ckpt.snap" --checkpoint-every 1 \
+        "$@" > "$out/stdout.txt"
 }
+
+compare_explorer() { # refdir outdir what files...
+    ref="$1"; out="$2"; what="$3"; shift 3
+    for f in "$@"; do
+        if ! normalize "$ref/$f" "$ref" > "$WORK/a" || \
+           ! normalize "$out/$f" "$out" > "$WORK/b"; then
+            echo "FAIL: missing artifact $f ($what)"; fail=1; continue
+        fi
+        if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
+            echo "FAIL: $f differs ($what)"
+            diff -u "$WORK/a" "$WORK/b" | head -20
+            fail=1
+        fi
+    done
+    for snap in "$ref"/ckpt.snap.leg*; do
+        if ! cmp -s "$snap" "$out/$(basename "$snap")"; then
+            echo "FAIL: snapshot $(basename "$snap") differs ($what)"
+            fail=1
+        fi
+    done
+}
+
+ALL="stdout.txt run.jsonl mrc.csv mrc.ws.csv mrc.json heat.json
+     ckpt.snap.manifest"
 
 echo "== cache_explorer --sweep l2 (jobs 1 vs 8) =="
 explorer 1 "$WORK/e1"
 explorer 8 "$WORK/e8"
-for f in stdout.txt run.jsonl mrc.csv mrc.ws.csv mrc.json heat.json \
-         ckpt.snap.manifest; do
-    if ! normalize "$WORK/e1/$f" "$WORK/e1" > "$WORK/a" || \
-       ! normalize "$WORK/e8/$f" "$WORK/e8" > "$WORK/b"; then
-        echo "FAIL: missing artifact $f"; fail=1; continue
-    fi
-    if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
-        echo "FAIL: $f differs between jobs=1 and jobs=8"
-        diff -u "$WORK/a" "$WORK/b" | head -20
-        fail=1
-    fi
-done
-for snap in "$WORK"/e1/ckpt.snap.leg*; do
-    if ! cmp -s "$snap" "$WORK/e8/$(basename "$snap")"; then
-        echo "FAIL: snapshot $(basename "$snap") differs"; fail=1
-    fi
-done
+# shellcheck disable=SC2086
+compare_explorer "$WORK/e1" "$WORK/e8" "jobs=1 vs jobs=8" $ALL
+
+# Lockstep groups: --jobs 3 splits the 5 legs into groups of 2/2/1,
+# each rendering every frame once for its legs; --jobs 1 is one group.
+echo "== cache_explorer --sweep l2 (jobs 1 vs 3: groups 2/2/1) =="
+explorer 3 "$WORK/e3"
+# shellcheck disable=SC2086
+compare_explorer "$WORK/e1" "$WORK/e3" "jobs=1 vs jobs=3" $ALL
+
+# Cross-grouping crash: SIGKILL right after leg 0's first checkpoint in
+# the one-group --jobs 1 run (legs 1-4 never checkpointed), then resume
+# at --jobs 3, where leg 0 resumes at frame 1 inside a group whose
+# other leg starts fresh at frame 0. Stdout, snapshots and manifest
+# must equal the straight run.
+echo "== cache_explorer --sweep l2 (SIGKILL at jobs 1, resume at jobs 3) =="
+status=0
+explorer 1 "$WORK/k" --die-after-checkpoint 1 2>/dev/null || status=$?
+if [ "$status" -eq 0 ]; then
+    echo "FAIL: crash run was expected to die but exited 0"; fail=1
+fi
+if [ ! -f "$WORK/k/ckpt.snap.leg0" ] || [ -f "$WORK/k/ckpt.snap.leg1" ]; then
+    echo "FAIL: crash run did not die after leg 0's first checkpoint"
+    fail=1
+fi
+explorer 3 "$WORK/k" --resume
+compare_explorer "$WORK/e1" "$WORK/k" "straight vs killed+resumed" \
+    stdout.txt ckpt.snap.manifest
 
 # Cross-mode leg: the batched access path (docs/batched_access.md) at
 # jobs=8 against the scalar path at jobs=1 — one diff proving batch

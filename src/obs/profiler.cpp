@@ -315,6 +315,47 @@ StageProfiler::enter(const char *name)
     return &slot;
 }
 
+detail::ProfileSlot *
+StageProfiler::enterRoot(const char *name)
+{
+    if (name == nullptr)
+        return nullptr;
+    const uint32_t idx = slotForThisThread();
+    if (idx >= detail::kProfileMaxThreads) {
+        dropped_.fetch_add(1, std::memory_order_relaxed);
+        return nullptr;
+    }
+    detail::ProfileSlot &slot = slots_[idx];
+    const uint32_t d = slot.depth.load(std::memory_order_relaxed);
+    // Shift the stack up one and put the root underneath. A sample that
+    // lands mid-shift reads a torn mix of interned frames — the same
+    // benign misattribution enter()/leave() already accept. Past the
+    // fixed depth only the depth is counted, as in enter().
+    if (d < detail::kProfileMaxDepth) {
+        for (uint32_t i = d; i > 0; --i)
+            slot.frames[i].store(
+                slot.frames[i - 1].load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+        slot.frames[0].store(name, std::memory_order_relaxed);
+    }
+    slot.depth.store(d + 1, std::memory_order_release);
+    return &slot;
+}
+
+void
+StageProfiler::leaveRoot(detail::ProfileSlot *slot)
+{
+    const uint32_t d = slot->depth.load(std::memory_order_relaxed);
+    if (d == 0)
+        return;
+    if (d <= detail::kProfileMaxDepth)
+        for (uint32_t i = 0; i + 1 < d; ++i)
+            slot->frames[i].store(
+                slot->frames[i + 1].load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+    slot->depth.store(d - 1, std::memory_order_release);
+}
+
 const char *
 StageProfiler::intern(const std::string &name)
 {

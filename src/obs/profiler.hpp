@@ -229,6 +229,16 @@ class StageProfiler
     }
 
     /**
+     * Push @p name *under* the calling thread's stage stack, so the
+     * stack [a;b] reads [name;a;b] until the matching leaveRoot().
+     * Called by ScopedProfileRoot only.
+     */
+    detail::ProfileSlot *enterRoot(const char *name);
+
+    /** Undo the innermost enterRoot() (stages pushed since are gone). */
+    static void leaveRoot(detail::ProfileSlot *slot);
+
+    /**
      * Intern an annotation name (sweep leg, tenant stream), returning
      * a pointer stable for the profiler's lifetime. Registration order
      * is remembered: the JSON summary lists legs/streams in first-
@@ -397,6 +407,38 @@ class ScopedProfileStage
     const char *name_ = nullptr;
     bool counting_ = false;
     uint64_t start_[4] = {};
+};
+
+/**
+ * RAII re-rooting scope: for its lifetime the calling thread's stack
+ * gains @p name as its outermost frame. A lockstep sweep group renders
+ * each frame once and hands it to several legs; re-rooting each leg's
+ * share under its `leg:<name>` annotation keeps per-leg attribution
+ * intact while the shared render stays unrooted. A no-op when @p name
+ * is null or no profiler is installed.
+ */
+class ScopedProfileRoot
+{
+  public:
+    explicit ScopedProfileRoot(const char *name)
+    {
+        if (name == nullptr)
+            return;
+        if (StageProfiler *p = stageProfiler()) [[unlikely]]
+            slot_ = p->enterRoot(name);
+    }
+
+    ~ScopedProfileRoot()
+    {
+        if (slot_ != nullptr) [[unlikely]]
+            StageProfiler::leaveRoot(slot_);
+    }
+
+    ScopedProfileRoot(const ScopedProfileRoot &) = delete;
+    ScopedProfileRoot &operator=(const ScopedProfileRoot &) = delete;
+
+  private:
+    detail::ProfileSlot *slot_ = nullptr;
 };
 
 /**

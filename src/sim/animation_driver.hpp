@@ -21,6 +21,8 @@ struct DriverConfig
     FilterMode filter = FilterMode::Trilinear;
     int frames = 0; ///< 0 = the workload's default animation length
     bool z_prepass = false; ///< §6 future-work extension
+
+    bool operator==(const DriverConfig &) const = default;
 };
 
 /** Called after each frame with the frame index and raster counters. */

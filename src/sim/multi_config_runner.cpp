@@ -37,11 +37,61 @@ RunManifest::quarantinedCount() const
     return n;
 }
 
+namespace {
+
+/**
+ * The `frame` bracket around one rendered frame: a trace B/E pair plus
+ * the profiler stage. It spans the gate and the per-frame callback, so
+ * it is carried by hand rather than by a scoped guard; the destructor
+ * closes a bracket left open by an exception.
+ */
+class FrameBracket
+{
+  public:
+    FrameBracket() = default;
+    FrameBracket(const FrameBracket &) = delete;
+    FrameBracket &operator=(const FrameBracket &) = delete;
+    ~FrameBracket() { close(); }
+
+    void
+    open()
+    {
+        if (ChromeTraceWriter *t = globalTracer()) {
+            t->begin("frame", "frame");
+            traced_ = true;
+        }
+        if (StageProfiler *p = stageProfiler())
+            prof_ = p->enter("frame");
+    }
+
+    void
+    close()
+    {
+        if (traced_) {
+            if (ChromeTraceWriter *t = globalTracer())
+                t->end();
+            traced_ = false;
+        }
+        if (prof_ != nullptr) {
+            StageProfiler::leave(prof_);
+            prof_ = nullptr;
+        }
+    }
+
+  private:
+    bool traced_ = false;
+    detail::ProfileSlot *prof_ = nullptr;
+};
+
+} // namespace
+
 MultiConfigRunner::MultiConfigRunner(Workload &workload,
                                      const DriverConfig &config)
     : workload_(workload), config_(config)
 {
 }
+
+MultiConfigRunner::~MultiConfigRunner() = default;
 
 CacheSim &
 MultiConfigRunner::addSim(const CacheSimConfig &config, std::string label)
@@ -207,29 +257,16 @@ MultiConfigRunner::run(const RowCallback &cb)
     for (auto *s : extra_sinks_)
         fanout.add(s);
 
-    // The frame bracket spans gate -> per-frame callback (same thread),
-    // so the profiler scope is carried manually rather than via RAII.
-    detail::ProfileSlot *frame_prof = nullptr;
-    const FrameGate gate = [&frame_prof](int) {
-        if (ChromeTraceWriter *t = globalTracer())
-            t->begin("frame", "frame");
-        if (StageProfiler *p = stageProfiler())
-            frame_prof = p->enter("frame");
-        return true;
-    };
+    FrameBracket bracket;
     runAnimationRange(workload_, config_, &fanout, 0,
                       [&](int frame, const FrameStats &fs) {
                           harvestRow(frame, fs, cb);
-                          if (ChromeTraceWriter *t = globalTracer())
-                              t->end();
-                          if (frame_prof != nullptr) {
-                              StageProfiler::leave(frame_prof);
-                              frame_prof = nullptr;
-                          }
+                          bracket.close();
                       },
-                      gate);
-    if (frame_prof != nullptr) // stopped between gate and callback
-        StageProfiler::leave(frame_prof);
+                      [&bracket](int) {
+                          bracket.open();
+                          return true;
+                      });
 }
 
 double
@@ -477,76 +514,49 @@ namespace {
 /**
  * Per-simulator isolation: forwards the access stream until the wrapped
  * sink throws, then quarantines it (records the error, stops
- * forwarding) so the remaining configurations finish the run.
+ * forwarding) so the remaining configurations finish the run. Forwarded
+ * calls run under the owning leg's profiler root, so a lockstep group's
+ * samples of this simulator fold under that leg.
  */
 class GuardedSink final : public TexelAccessSink
 {
   public:
     GuardedSink(TexelAccessSink &inner, SimQuarantine *q,
-                const int *current_frame)
-        : inner_(inner), q_(q), current_frame_(current_frame)
+                const int *current_frame, const char *profile_root)
+        : inner_(inner), q_(q), current_frame_(current_frame),
+          root_(profile_root)
     {
     }
 
     void
     bindTexture(TextureId tid) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.bindTexture(tid);
-        } catch (...) {
-            quarantine();
-        }
+        forward([&] { inner_.bindTexture(tid); });
     }
 
     void
     beginPixel(uint32_t px, uint32_t py) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.beginPixel(px, py);
-        } catch (...) {
-            quarantine();
-        }
+        forward([&] { inner_.beginPixel(px, py); });
     }
 
     void
     access(uint32_t x, uint32_t y, uint32_t mip) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.access(x, y, mip);
-        } catch (...) {
-            quarantine();
-        }
+        forward([&] { inner_.access(x, y, mip); });
     }
 
     void
     accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
                uint32_t mip) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.accessQuad(x0, y0, x1, y1, mip);
-        } catch (...) {
-            quarantine();
-        }
+        forward([&] { inner_.accessQuad(x0, y0, x1, y1, mip); });
     }
 
     void
     accessBatch(std::span<const TexelRef> refs) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.accessBatch(refs);
-        } catch (...) {
-            quarantine();
-        }
+        forward([&] { inner_.accessBatch(refs); });
     }
 
     /** Record @p err and stop forwarding (used for audit violations). */
@@ -570,6 +580,20 @@ class GuardedSink final : public TexelAccessSink
     }
 
   private:
+    template <class F>
+    void
+    forward(F &&fn)
+    {
+        if (q_->dead)
+            return;
+        ScopedProfileRoot root(root_);
+        try {
+            fn();
+        } catch (...) {
+            quarantine();
+        }
+    }
+
     void
     quarantine()
     {
@@ -587,6 +611,7 @@ class GuardedSink final : public TexelAccessSink
     TexelAccessSink &inner_;
     SimQuarantine *q_;
     const int *current_frame_;
+    const char *root_;
 };
 
 } // namespace
@@ -622,13 +647,81 @@ MultiConfigRunner::writeManifest(const RunManifest &manifest) const
     csv.close();
 }
 
-RunManifest
-MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
-                                 const RowCallback &cb)
-{
-    using Clock = std::chrono::steady_clock;
-    using MsDouble = std::chrono::duration<double, std::milli>;
+namespace {
 
+using Clock = std::chrono::steady_clock;
+using MsDouble = std::chrono::duration<double, std::milli>;
+
+} // namespace
+
+struct MultiConfigRunner::Supervision
+{
+    ResilienceConfig rc;
+    RowCallback cb;
+    int start_frame = 0;   ///< first frame this runner consumes
+    int current_frame = 0; ///< frame the guards attribute failures to
+    int next_frame = 0;    ///< where a resume would continue
+    std::vector<std::unique_ptr<GuardedSink>> guards; ///< parallel to sims_
+    FanoutSink fanout;
+    Clock::time_point run_start;
+    RunOutcome outcome = RunOutcome::Completed;
+    bool stop = false; ///< a deadline overran: stop at the next gate
+    uint32_t checkpoints_written = 0;
+    int checkpoint_write_failures = 0;
+    uint32_t ckpt_backoff = 0; ///< doubling skip multiplier (0 = healthy)
+    int ckpt_retry_at = -1;    ///< first frame allowed to retry commits
+};
+
+void
+MultiConfigRunner::publishRunTelemetry(const char *status, int frame)
+{
+    // Live telemetry: the scrape thread only reads the pushed strings,
+    // never runner state.
+    if (!obs_ || !obs_->telemetry())
+        return;
+    size_t dead = 0;
+    for (const SimQuarantine &q : quarantine_)
+        if (q.dead)
+            ++dead;
+    JsonWriter h;
+    h.beginObject();
+    h.kv("status", status);
+    h.kv("frame", static_cast<int64_t>(frame));
+    h.kv("frames", static_cast<int64_t>(config_.frames));
+    h.kv("quarantined", static_cast<uint64_t>(dead));
+    h.kv("checkpoint_write_failures",
+         static_cast<int64_t>(sup_->checkpoint_write_failures));
+    h.endObject();
+    obs_->telemetry()->publishHealth(h.str());
+
+    JsonWriter r;
+    r.beginObject();
+    r.kv("mode", "sims");
+    r.kv("width", config_.width);
+    r.kv("height", config_.height);
+    r.kv("frames", static_cast<int64_t>(config_.frames));
+    r.kv("frame", static_cast<int64_t>(frame));
+    r.key("sims");
+    r.beginArray();
+    for (size_t i = 0; i < sims_.size(); ++i) {
+        r.beginObject();
+        r.kv("index", static_cast<uint64_t>(i));
+        r.kv("label", sims_[i]->label());
+        r.kv("status", quarantine_[i].dead ? "quarantined" : "serving");
+        r.kv("failures", static_cast<uint64_t>(quarantine_[i].failures));
+        r.endObject();
+    }
+    r.endArray();
+    r.endObject();
+    obs_->telemetry()->publishRunz(r.str());
+}
+
+int
+MultiConfigRunner::beginSupervised(const ResilienceConfig &rc,
+                                   const RowCallback &cb,
+                                   const char *profile_root)
+{
+    sup_.reset();
     int start_frame = 0;
     if (rc.resume)
         start_frame = loadCheckpoint(rc.checkpoint_path);
@@ -639,247 +732,197 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
     if (quarantine_.size() != sims_.size())
         quarantine_.assign(sims_.size(), {});
 
-    int current_frame = start_frame;
-    std::vector<std::unique_ptr<GuardedSink>> guards;
-    guards.reserve(sims_.size());
-    FanoutSink fanout;
+    auto s = std::make_unique<Supervision>();
+    s->rc = rc;
+    s->cb = cb;
+    s->start_frame = s->current_frame = s->next_frame = start_frame;
+    s->guards.reserve(sims_.size());
     for (size_t i = 0; i < sims_.size(); ++i) {
-        guards.push_back(std::make_unique<GuardedSink>(
-            *sims_[i], &quarantine_[i], &current_frame));
-        fanout.add(guards.back().get());
+        s->guards.push_back(std::make_unique<GuardedSink>(
+            *sims_[i], &quarantine_[i], &s->current_frame, profile_root));
+        s->fanout.add(s->guards.back().get());
     }
     if (working_sets_)
-        fanout.add(working_sets_.get());
+        s->fanout.add(working_sets_.get());
     if (push_)
-        fanout.add(push_.get());
-    for (auto *s : extra_sinks_)
-        fanout.add(s);
+        s->fanout.add(push_.get());
+    for (auto *sink : extra_sinks_)
+        s->fanout.add(sink);
+    s->run_start = Clock::now();
+    sup_ = std::move(s);
 
-    const auto run_start = Clock::now();
-    auto frame_start = run_start;
-    // Frame bracket carried gate -> per-frame callback on one thread.
-    detail::ProfileSlot *frame_prof = nullptr;
-    RunOutcome outcome = RunOutcome::Completed;
-    int next_frame = start_frame;
-    uint32_t checkpoints_written = 0;
-    int checkpoint_write_failures = 0;
-    uint32_t ckpt_backoff = 0; ///< doubling skip multiplier (0 = healthy)
-    int ckpt_retry_at = -1;    ///< first frame allowed to retry commits
-    bool stop = false;
+    publishRunTelemetry("serving", start_frame);
+    return start_frame;
+}
 
-    // Live telemetry: push /healthz + /runz documents each frame. The
-    // scrape thread only reads the pushed strings, never runner state.
-    const auto publish_telemetry = [&](const char *status, int frame) {
-        if (!obs_ || !obs_->telemetry())
-            return;
-        size_t dead = 0;
-        for (const SimQuarantine &q : quarantine_)
-            if (q.dead)
-                ++dead;
-        JsonWriter h;
-        h.beginObject();
-        h.kv("status", status);
-        h.kv("frame", static_cast<int64_t>(frame));
-        h.kv("frames", static_cast<int64_t>(config_.frames));
-        h.kv("quarantined", static_cast<uint64_t>(dead));
-        h.kv("checkpoint_write_failures",
-             static_cast<int64_t>(checkpoint_write_failures));
-        h.endObject();
-        obs_->telemetry()->publishHealth(h.str());
-
-        JsonWriter r;
-        r.beginObject();
-        r.kv("mode", "sims");
-        r.kv("width", config_.width);
-        r.kv("height", config_.height);
-        r.kv("frames", static_cast<int64_t>(config_.frames));
-        r.kv("frame", static_cast<int64_t>(frame));
-        r.key("sims");
-        r.beginArray();
-        for (size_t i = 0; i < sims_.size(); ++i) {
-            r.beginObject();
-            r.kv("index", static_cast<uint64_t>(i));
-            r.kv("label", sims_[i]->label());
-            r.kv("status",
-                 quarantine_[i].dead ? "quarantined" : "serving");
-            r.kv("failures",
-                 static_cast<uint64_t>(quarantine_[i].failures));
-            r.endObject();
-        }
-        r.endArray();
-        r.endObject();
-        obs_->telemetry()->publishRunz(r.str());
-    };
-
-    publish_telemetry("serving", start_frame);
-
-    const FrameGate gate = [&](int frame) {
-        current_frame = frame;
-        next_frame = frame;
-        flightFrame(frame);
-        if (cancellationRequested()) {
-            outcome = RunOutcome::Cancelled;
-            return false;
-        }
-        if (stop)
-            return false;
-        if (rc.wall_budget_ms > 0.0 &&
-            MsDouble(Clock::now() - run_start).count() > rc.wall_budget_ms) {
-            outcome = RunOutcome::BudgetExhausted;
-            return false;
-        }
-
-        // Crash-loop containment: a quarantined simulator is revived
-        // after an exponential frame backoff while its consecutive
-        // failure count stays within --restart-limit; one failure past
-        // the limit and the quarantine is permanent. Revival is gated
-        // on a clean audit so a corrupted simulator never rejoins.
-        if (rc.restart_limit > 0) {
-            for (size_t i = 0; i < sims_.size(); ++i) {
-                SimQuarantine &q = quarantine_[i];
-                if (!q.dead || q.failures > rc.restart_limit)
-                    continue;
-                if (q.revive_at_frame < 0) {
-                    const uint32_t shift =
-                        std::min<uint32_t>(q.failures > 0 ? q.failures - 1
-                                                          : 0,
-                                           16);
-                    q.revive_at_frame =
-                        q.at_frame + static_cast<int>(1u << shift);
-                }
-                if (frame < q.revive_at_frame)
-                    continue;
-                try {
-                    if (rc.audit != AuditLevel::Off)
-                        sims_[i]->audit(rc.audit);
-                    q.dead = false;
-                    q.revive_at_frame = -1;
-                    logInfo("runSupervised: restarted '" +
-                            sims_[i]->label() + "' at frame " +
-                            std::to_string(frame) + " (failure " +
-                            std::to_string(q.failures) + "/" +
-                            std::to_string(rc.restart_limit) + ")");
-                    if (ChromeTraceWriter *t = globalTracer())
-                        t->instant("sim.restarted", "runner");
-                } catch (const Exception &e) {
-                    // The revival audit failed: count it as another
-                    // consecutive failure and back off further.
-                    q.error = e.error();
-                    q.at_frame = frame;
-                    ++q.failures;
-                    q.revive_at_frame = -1;
-                }
-            }
-        }
-
-        frame_start = Clock::now();
-        if (ChromeTraceWriter *t = globalTracer())
-            t->begin("frame", "frame");
-        if (StageProfiler *p = stageProfiler())
-            frame_prof = p->enter("frame");
+bool
+MultiConfigRunner::gateFrame(int frame, bool cancelled)
+{
+    Supervision &s = *sup_;
+    const ResilienceConfig &rc = s.rc;
+    const bool joined = frame >= s.start_frame;
+    if (joined) {
+        s.current_frame = frame;
+        s.next_frame = frame;
+    }
+    if (cancelled) {
+        s.outcome = RunOutcome::Cancelled;
+        return false;
+    }
+    if (s.stop)
+        return false;
+    if (rc.wall_budget_ms > 0.0 &&
+        MsDouble(Clock::now() - s.run_start).count() > rc.wall_budget_ms) {
+        s.outcome = RunOutcome::BudgetExhausted;
+        return false;
+    }
+    if (!joined)
         return true;
-    };
 
-    const FrameCallback per_frame = [&](int frame, const FrameStats &fs) {
-        harvestRow(frame, fs, cb);
-        if (ChromeTraceWriter *t = globalTracer())
-            t->end();
-        if (frame_prof != nullptr) {
-            StageProfiler::leave(frame_prof);
-            frame_prof = nullptr;
-        }
-        next_frame = frame + 1;
-
-        // Invariant audits at the frame boundary: a violating simulator
-        // is quarantined (its state can no longer be trusted) and the
-        // healthy configurations continue.
-        if (rc.audit != AuditLevel::Off) {
-            for (size_t i = 0; i < sims_.size(); ++i) {
-                if (quarantine_[i].dead)
-                    continue;
-                try {
-                    sims_[i]->audit(rc.audit);
-                } catch (const Exception &e) {
-                    guards[i]->quarantineWith(e.error());
-                }
+    // Crash-loop containment: a quarantined simulator is revived after
+    // an exponential frame backoff while its consecutive failure count
+    // stays within --restart-limit; one failure past the limit and the
+    // quarantine is permanent. Revival is gated on a clean audit so a
+    // corrupted simulator never rejoins.
+    if (rc.restart_limit > 0) {
+        for (size_t i = 0; i < sims_.size(); ++i) {
+            SimQuarantine &q = quarantine_[i];
+            if (!q.dead || q.failures > rc.restart_limit)
+                continue;
+            if (q.revive_at_frame < 0) {
+                const uint32_t shift = std::min<uint32_t>(
+                    q.failures > 0 ? q.failures - 1 : 0, 16);
+                q.revive_at_frame = q.at_frame + static_cast<int>(1u << shift);
             }
-        }
-
-        // A clean frame (alive, no failure recorded this frame) resets
-        // the consecutive-failure count, so only genuine crash loops
-        // accumulate toward --restart-limit.
-        for (auto &q : quarantine_)
-            if (!q.dead && q.failures > 0 && q.at_frame != frame)
-                q.failures = 0;
-
-        if (rc.frame_deadline_ms > 0.0 &&
-            MsDouble(Clock::now() - frame_start).count() >
-                rc.frame_deadline_ms) {
-            outcome = RunOutcome::DeadlineExceeded;
-            stop = true;
-        }
-
-        if (!rc.checkpoint_path.empty() && rc.checkpoint_every > 0 &&
-            static_cast<uint32_t>(frame + 1) % rc.checkpoint_every == 0 &&
-            frame + 1 >= ckpt_retry_at) {
+            if (frame < q.revive_at_frame)
+                continue;
             try {
-                saveCheckpoint(rc.checkpoint_path, frame + 1);
-                ++checkpoints_written;
-                ckpt_backoff = 0;
-                ckpt_retry_at = -1;
+                if (rc.audit != AuditLevel::Off)
+                    sims_[i]->audit(rc.audit);
+                q.dead = false;
+                q.revive_at_frame = -1;
+                logInfo("runSupervised: restarted '" + sims_[i]->label() +
+                        "' at frame " + std::to_string(frame) +
+                        " (failure " + std::to_string(q.failures) + "/" +
+                        std::to_string(rc.restart_limit) + ")");
                 if (ChromeTraceWriter *t = globalTracer())
-                    t->instant("checkpoint.saved", "runner");
-                // Crash-path test hook: die *after* the checkpoint
-                // committed, leaving exactly the state a real crash
-                // would.
-                if (rc.die_after_checkpoints > 0 &&
-                    checkpoints_written >= rc.die_after_checkpoints)
-                    std::raise(SIGKILL);
+                    t->instant("sim.restarted", "runner");
             } catch (const Exception &e) {
-                // Checkpointing is an optimisation, not a correctness
-                // requirement: degrade to skip-with-backoff (the next
-                // attempt waits exponentially more checkpoint periods)
-                // instead of aborting a healthy simulation.
-                ++checkpoint_write_failures;
-                ckpt_backoff =
-                    std::min<uint32_t>(ckpt_backoff ? ckpt_backoff * 2 : 1,
-                                       64);
-                ckpt_retry_at =
-                    frame + 1 +
-                    static_cast<int>(ckpt_backoff *
-                                     std::max<uint32_t>(1,
-                                                        rc.checkpoint_every));
-                logWarn("runSupervised: checkpoint write failed (" +
-                        e.error().describe() + "); retrying at frame " +
-                        std::to_string(ckpt_retry_at));
-                if (obs_) {
-                    auto guard = obs_->metrics().updateGuard();
-                    obs_->metrics()
-                        .counter("checkpoint.write_failed")
-                        .inc();
-                }
-                flightEvent("checkpoint.write_failed", "resilience");
+                // The revival audit failed: count it as another
+                // consecutive failure and back off further.
+                q.error = e.error();
+                q.at_frame = frame;
+                ++q.failures;
+                q.revive_at_frame = -1;
             }
         }
+    }
+    return true;
+}
 
-        publish_telemetry("serving", frame + 1);
-    };
+TexelAccessSink &
+MultiConfigRunner::frameSink()
+{
+    return sup_->fanout;
+}
 
-    runAnimationRange(workload_, config_, &fanout, start_frame, per_frame,
-                      gate);
-    if (frame_prof != nullptr) // stopped between gate and callback
-        StageProfiler::leave(frame_prof);
+void
+MultiConfigRunner::harvestFrame(int frame, const FrameStats &fs)
+{
+    Supervision &s = *sup_;
+    harvestRow(frame, fs, s.cb);
+    s.next_frame = frame + 1;
 
-    if (outcome == RunOutcome::DeadlineExceeded ||
-        outcome == RunOutcome::BudgetExhausted)
+    // Invariant audits at the frame boundary: a violating simulator is
+    // quarantined (its state can no longer be trusted) and the healthy
+    // configurations continue.
+    if (s.rc.audit != AuditLevel::Off) {
+        for (size_t i = 0; i < sims_.size(); ++i) {
+            if (quarantine_[i].dead)
+                continue;
+            try {
+                sims_[i]->audit(s.rc.audit);
+            } catch (const Exception &e) {
+                s.guards[i]->quarantineWith(e.error());
+            }
+        }
+    }
+
+    // A clean frame (alive, no failure recorded this frame) resets the
+    // consecutive-failure count, so only genuine crash loops accumulate
+    // toward --restart-limit.
+    for (auto &q : quarantine_)
+        if (!q.dead && q.failures > 0 && q.at_frame != frame)
+            q.failures = 0;
+}
+
+void
+MultiConfigRunner::commitFrame(int frame, double frame_ms)
+{
+    Supervision &s = *sup_;
+    const ResilienceConfig &rc = s.rc;
+    if (rc.frame_deadline_ms > 0.0 && frame_ms > rc.frame_deadline_ms) {
+        s.outcome = RunOutcome::DeadlineExceeded;
+        s.stop = true;
+    }
+
+    if (!rc.checkpoint_path.empty() && rc.checkpoint_every > 0 &&
+        static_cast<uint32_t>(frame + 1) % rc.checkpoint_every == 0 &&
+        frame + 1 >= s.ckpt_retry_at) {
+        try {
+            saveCheckpoint(rc.checkpoint_path, frame + 1);
+            ++s.checkpoints_written;
+            s.ckpt_backoff = 0;
+            s.ckpt_retry_at = -1;
+            if (ChromeTraceWriter *t = globalTracer())
+                t->instant("checkpoint.saved", "runner");
+            // Crash-path test hook: die *after* the checkpoint
+            // committed, leaving exactly the state a real crash would.
+            if (rc.die_after_checkpoints > 0 &&
+                s.checkpoints_written >= rc.die_after_checkpoints)
+                std::raise(SIGKILL);
+        } catch (const Exception &e) {
+            // Checkpointing is an optimisation, not a correctness
+            // requirement: degrade to skip-with-backoff (the next attempt
+            // waits exponentially more checkpoint periods) instead of
+            // aborting a healthy simulation.
+            ++s.checkpoint_write_failures;
+            s.ckpt_backoff =
+                std::min<uint32_t>(s.ckpt_backoff ? s.ckpt_backoff * 2 : 1,
+                                   64);
+            s.ckpt_retry_at =
+                frame + 1 +
+                static_cast<int>(s.ckpt_backoff *
+                                 std::max<uint32_t>(1, rc.checkpoint_every));
+            logWarn("runSupervised: checkpoint write failed (" +
+                    e.error().describe() + "); retrying at frame " +
+                    std::to_string(s.ckpt_retry_at));
+            if (obs_) {
+                auto guard = obs_->metrics().updateGuard();
+                obs_->metrics().counter("checkpoint.write_failed").inc();
+            }
+            flightEvent("checkpoint.write_failed", "resilience");
+        }
+    }
+
+    publishRunTelemetry("serving", frame + 1);
+}
+
+RunManifest
+MultiConfigRunner::endSupervised()
+{
+    Supervision &s = *sup_;
+    const ResilienceConfig &rc = s.rc;
+    if (s.outcome == RunOutcome::DeadlineExceeded ||
+        s.outcome == RunOutcome::BudgetExhausted)
         flightDump("watchdog");
 
-    if (outcome != RunOutcome::Completed) {
-        // Interrupted (SIGINT/SIGTERM, deadline, budget): make sure
-        // every telemetry row/event up to the last complete frame is on
-        // disk even if the process is killed before close(). The
-        // metrics JSONL sink flushes per line already; the trace buffer
-        // is the one that loses data.
+    if (s.outcome != RunOutcome::Completed) {
+        // Interrupted (SIGINT/SIGTERM, deadline, budget): make sure every
+        // telemetry row/event up to the last complete frame is on disk
+        // even if the process is killed before close(). The metrics JSONL
+        // sink flushes per line already; the trace buffer is the one
+        // that loses data.
         if (obs_)
             obs_->flush();
         else if (ChromeTraceWriter *t = globalTracer())
@@ -887,9 +930,9 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
     }
 
     RunManifest manifest;
-    manifest.outcome = outcome;
+    manifest.outcome = s.outcome;
     manifest.frames_completed = static_cast<int>(rows_.size());
-    manifest.next_frame = next_frame;
+    manifest.next_frame = s.next_frame;
     manifest.sims.reserve(sims_.size());
     for (size_t i = 0; i < sims_.size(); ++i)
         manifest.sims.push_back({sims_[i]->label(), quarantine_[i].dead,
@@ -898,18 +941,18 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
                                  quarantine_[i].failures});
     if (!rc.checkpoint_path.empty()) {
         try {
-            saveCheckpoint(rc.checkpoint_path, next_frame);
+            saveCheckpoint(rc.checkpoint_path, s.next_frame);
             manifest.checkpoint = rc.checkpoint_path;
         } catch (const Exception &e) {
-            // The results are already in rows_/the caller's CSVs; a
-            // final checkpoint that cannot land must not erase them.
-            ++checkpoint_write_failures;
+            // The results are already in rows_/the caller's CSVs; a final
+            // checkpoint that cannot land must not erase them.
+            ++s.checkpoint_write_failures;
             logWarn("runSupervised: final checkpoint write failed (" +
                     e.error().describe() + ")");
             flightDump("io");
             manifest.checkpoint = rc.checkpoint_path;
         }
-        manifest.checkpoint_write_failures = checkpoint_write_failures;
+        manifest.checkpoint_write_failures = s.checkpoint_write_failures;
         try {
             writeManifest(manifest);
         } catch (const Exception &e) {
@@ -917,9 +960,127 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
                     e.error().describe() + ")");
         }
     }
-    manifest.checkpoint_write_failures = checkpoint_write_failures;
-    publish_telemetry(runOutcomeName(outcome), next_frame);
+    manifest.checkpoint_write_failures = s.checkpoint_write_failures;
+    publishRunTelemetry(runOutcomeName(s.outcome), s.next_frame);
+    sup_.reset();
     return manifest;
+}
+
+RunManifest
+MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
+                                 const RowCallback &cb)
+{
+    LockstepLeg leg;
+    leg.runner = this;
+    leg.rc = rc;
+    leg.cb = cb;
+    runLockstep({&leg, 1});
+    if (leg.error)
+        std::rethrow_exception(leg.error);
+    return std::move(leg.manifest);
+}
+
+void
+runLockstep(std::span<LockstepLeg> legs)
+{
+    if (legs.empty())
+        return;
+    const MultiConfigRunner &lead = *legs.front().runner;
+
+    // Setup, leg by leg: a leg whose resume fails drops out alone.
+    std::vector<LockstepLeg *> live;
+    std::vector<int> start;
+    for (LockstepLeg &leg : legs) {
+        ScopedProfileRoot root(leg.profile_root);
+        try {
+            MultiConfigRunner &r = *leg.runner;
+            if (&r.workload_ != &lead.workload_ || r.config_ != lead.config_)
+                throw Exception(ErrorCode::BadArgument,
+                                "runLockstep: every leg must share one "
+                                "workload and driver configuration");
+            start.push_back(
+                r.beginSupervised(leg.rc, leg.cb, leg.profile_root));
+            live.push_back(&leg);
+        } catch (...) {
+            leg.error = std::current_exception();
+        }
+    }
+    if (live.empty())
+        return;
+
+    std::vector<char> attached(live.size(), 1);
+
+    // Run one supervision step of leg k under its profiler root; a
+    // throw detaches that leg only.
+    const auto step = [&](size_t k, auto &&fn) {
+        ScopedProfileRoot root(live[k]->profile_root);
+        try {
+            fn(*live[k]->runner);
+        } catch (...) {
+            live[k]->error = std::current_exception();
+            attached[k] = 0;
+        }
+    };
+
+    FanoutSink fanout;
+    std::vector<size_t> consuming; ///< legs fed the frame being rendered
+    FrameBracket bracket;
+    Clock::time_point frame_start;
+
+    const FrameGate gate = [&](int frame) {
+        flightFrame(frame);
+        // One read of the flag per frame: every leg stops at the same
+        // boundary however late in the gate a signal lands.
+        const bool cancelled = cancellationRequested();
+        fanout.clear();
+        consuming.clear();
+        bool any = false;
+        for (size_t k = 0; k < live.size(); ++k) {
+            if (!attached[k])
+                continue;
+            bool go = false;
+            step(k, [&](MultiConfigRunner &r) {
+                go = r.gateFrame(frame, cancelled);
+            });
+            if (!go) {
+                attached[k] = 0;
+                continue;
+            }
+            any = true;
+            if (frame >= start[k]) {
+                fanout.add(&live[k]->runner->frameSink());
+                consuming.push_back(k);
+            }
+        }
+        if (!any)
+            return false;
+        frame_start = Clock::now();
+        bracket.open();
+        return true;
+    };
+
+    const FrameCallback per_frame = [&](int frame, const FrameStats &fs) {
+        for (size_t k : consuming)
+            step(k, [&](MultiConfigRunner &r) { r.harvestFrame(frame, fs); });
+        bracket.close();
+        const double frame_ms = MsDouble(Clock::now() - frame_start).count();
+        for (size_t k : consuming)
+            if (attached[k])
+                step(k, [&](MultiConfigRunner &r) {
+                    r.commitFrame(frame, frame_ms);
+                });
+    };
+
+    runAnimationRange(lead.workload_, lead.config_, &fanout,
+                      *std::min_element(start.begin(), start.end()),
+                      per_frame, gate);
+    bracket.close();
+
+    for (size_t k = 0; k < live.size(); ++k)
+        if (!live[k]->error)
+            step(k, [&](MultiConfigRunner &r) {
+                live[k]->manifest = r.endSupervised();
+            });
 }
 
 } // namespace mltc

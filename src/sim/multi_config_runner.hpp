@@ -2,18 +2,30 @@
  * @file
  * One-pass multi-configuration simulation.
  *
- * Rasterization dominates runtime, so each frame's access stream is
- * generated once and fanned out to every registered consumer: cache
- * simulators (CacheSim and friends), the working-set statistics
- * collector and the push-architecture model. This is how all the
- * parameter sweeps (Figures 9/10, Tables 2/3/5-8) are produced.
+ * Producing the access stream (raster + sampler) is the expensive
+ * half of a frame, so each frame is rendered once and fanned out to
+ * every consumer: cache simulators (CacheSim and friends), the
+ * working-set statistics collector and the push-architecture model.
+ * This is how all the parameter sweeps (Figures 9/10, Tables 2/3/5-8)
+ * are produced.
+ *
+ * The fan-out works at two levels. Within one runner, every
+ * registered consumer sees the frame. Across runners, runLockstep()
+ * drives a *group* of runners built over one Workload from a single
+ * rasterization: each runner keeps its own supervision — gate
+ * (cancel, budget, deadline, revival), quarantine, checkpoint,
+ * manifest, metrics — and only the render is shared, so every
+ * runner's artifacts are byte-identical to running it alone.
+ * runSupervised() is the one-runner case of the same driver.
  */
 #ifndef MLTC_SIM_MULTI_CONFIG_RUNNER_HPP
 #define MLTC_SIM_MULTI_CONFIG_RUNNER_HPP
 
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,6 +105,52 @@ struct RunManifest
     size_t quarantinedCount() const;
 };
 
+class MultiConfigRunner;
+
+/** One runner's place in a lockstep group; see runLockstep(). */
+struct LockstepLeg
+{
+    MultiConfigRunner *runner = nullptr; ///< not owned
+    ResilienceConfig rc;                 ///< this leg's supervision
+    RowCallback cb;                      ///< fires per harvested row
+
+    /**
+     * Profiler annotation (e.g. "leg:<name>") that roots every sample
+     * taken while this leg's simulators consume a frame or the leg
+     * settles it; null = none.
+     */
+    const char *profile_root = nullptr;
+
+    RunManifest manifest;     ///< how the leg's run ended
+    std::exception_ptr error; ///< set instead when the leg threw
+};
+
+/**
+ * Run a lockstep group: render each frame of the runners' shared
+ * workload once and fan it out to every live leg.
+ *
+ * Every runner must be built over the same Workload with the same
+ * DriverConfig. Rendering starts at the smallest start frame among the
+ * legs; a leg resumed at frame k joins when the render reaches k. Each
+ * leg runs its own gate every frame — cancellation (read once per
+ * frame for the whole group, so every leg stops at the same boundary),
+ * wall budget, deadline stop, quarantine revival — and a leg that
+ * stops is detached while the others continue. The group owns the one
+ * `frame` bracket (trace B/E, profiler stage) per rendered frame. A
+ * --deadline-ms frame is timed over the shared render plus every
+ * leg's harvest and audit.
+ *
+ * A leg whose setup throws (a corrupt checkpoint at resume, say), or
+ * whose supervision steps throw mid-run (its row callback, say), gets
+ * the exception in LockstepLeg::error and drops out alone; every other
+ * leg gets its RunManifest. A simulator that throws is quarantined
+ * within its leg as in a solo run. An exception escaping the shared
+ * render itself (the rasterizer, an unguarded collector) propagates.
+ * Not thread-safe: one group per thread (the shared TextureManager is
+ * touched only by that thread).
+ */
+void runLockstep(std::span<LockstepLeg> legs);
+
 /** Owns the consumers and runs the animation once. */
 class MultiConfigRunner
 {
@@ -103,6 +161,7 @@ class MultiConfigRunner
      * @param config frame count, filter, resolution
      */
     MultiConfigRunner(Workload &workload, const DriverConfig &config);
+    ~MultiConfigRunner();
 
     /** Register a cache simulator; returned reference stays valid. */
     CacheSim &addSim(const CacheSimConfig &config, std::string label);
@@ -153,6 +212,8 @@ class MultiConfigRunner
      * frame, at most restart_limit consecutive times — a crash-looping
      * configuration stays quarantined instead of burning the run's
      * budget. A clean frame resets the consecutive-failure count.
+     *
+     * This is runLockstep() over a group of one.
      */
     RunManifest runSupervised(const ResilienceConfig &rc,
                               const RowCallback &cb = {});
@@ -192,6 +253,48 @@ class MultiConfigRunner
     double averageHostBytesPerFrame(size_t idx) const;
 
   private:
+    friend void runLockstep(std::span<LockstepLeg> legs);
+
+    /** State of one supervised run (defined in the .cpp). */
+    struct Supervision;
+
+    // Supervision steps, driven per frame by runLockstep().
+
+    /**
+     * Start a supervised run: load the checkpoint on resume (may
+     * throw), arm the quarantine guards, which forward under
+     * @p profile_root (may be null).
+     * @return the first frame this runner consumes
+     */
+    int beginSupervised(const ResilienceConfig &rc, const RowCallback &cb,
+                        const char *profile_root);
+
+    /**
+     * Per-frame gate, called before every rendered frame — also before
+     * frames preceding this runner's start, where only the stop
+     * conditions apply. @p cancelled is the group's one read of the
+     * cancellation flag. @return false once this runner stops.
+     */
+    bool gateFrame(int frame, bool cancelled);
+
+    /** The guarded sinks this runner consumes frames through. */
+    TexelAccessSink &frameSink();
+
+    /** Harvest the rendered frame's row, then audit every live sim. */
+    void harvestFrame(int frame, const FrameStats &fs);
+
+    /**
+     * Close the frame: deadline check against the group's @p frame_ms,
+     * periodic checkpoint, live telemetry.
+     */
+    void commitFrame(int frame, double frame_ms);
+
+    /** Final checkpoint + manifest; ends the supervised run. */
+    RunManifest endSupervised();
+
+    /** Push /healthz + /runz documents for the supervised run. */
+    void publishRunTelemetry(const char *status, int frame);
+
     /** Harvest one frame boundary into rows_ (shared by run paths). */
     void harvestRow(int frame, const FrameStats &fs, const RowCallback &cb);
 
@@ -210,6 +313,7 @@ class MultiConfigRunner
     Observability *obs_ = nullptr; ///< not owned; null = no observability
     std::vector<FrameRow> rows_;
     std::vector<SimQuarantine> quarantine_; ///< parallel to sims_ (may be empty)
+    std::unique_ptr<Supervision> sup_; ///< live during a supervised run
 };
 
 } // namespace mltc

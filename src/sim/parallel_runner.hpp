@@ -1,16 +1,29 @@
 /**
  * @file
- * Parallel sweep executor: runs independent simulation legs (one leg ==
- * one MultiConfigRunner pass over its own Workload) concurrently while
+ * Parallel sweep executor: runs simulation legs concurrently while
  * keeping every observable output byte-identical to the serial run and
  * invariant to thread count.
  *
+ * Two kinds of leg:
+ *
+ *  - independent legs (addLeg): the body does everything — builds its
+ *    own Workload, runs its own MultiConfigRunner. One pool task each.
+ *  - lockstep legs (addLockstepLeg): the body builds a runner over a
+ *    Workload the executor hands it. run() splits the N legs into
+ *    min(jobs, N) contiguous groups, one pool task each; a group
+ *    builds one Workload and runLockstep() renders each frame once for
+ *    every leg in it. --jobs 1 renders each frame once for the whole
+ *    sweep; jobs >= N gives one leg per group, the independent-leg
+ *    schedule.
+ *
  * Determinism model — compute in parallel, emit in order:
  *
- *  - legs never share mutable state: each leg builds its own Workload
- *    (TextureManager layouts are lazily cached), its own runner, its
- *    own sims (so fault-injection RNG streams are per-leg exactly as in
- *    the serial program), and writes results only into its own slot;
+ *  - no mutable state crosses a group: each group has its own
+ *    Workload (the TextureManager is touched by the group's thread
+ *    only); within a group, legs share the render but each keeps its
+ *    own runner and sims (so fault-injection RNG streams are per-leg
+ *    exactly as in the serial program), quarantine state, checkpoint
+ *    and metrics stream, and writes results only into its own slot;
  *  - console output produced inside a leg goes through
  *    LegContext::printf into a per-leg buffer; SweepExecutor flushes
  *    buffers to stdout strictly in leg registration order (streaming:
@@ -18,14 +31,15 @@
  *    legs are still running);
  *  - CSV/metrics/snapshot emission stays in the drivers, which write
  *    from per-leg results after (or in order during) run() — so the
- *    bytes on disk cannot depend on completion order.
+ *    bytes on disk cannot depend on completion order or grouping.
  *
  * Failure containment mirrors the per-sim quarantine of runSupervised:
  * an exception escaping a leg marks that leg Failed in the
- * SweepManifest and the remaining legs still run. Cooperative
- * cancellation (SIGINT/SIGTERM or requestCancellation()) stops
- * dispatching new legs; already-running legs observe the same flag at
- * frame boundaries via their own supervised gates.
+ * SweepManifest and the remaining legs — its group's included — still
+ * run. Cooperative cancellation (SIGINT/SIGTERM or
+ * requestCancellation()) stops dispatching new legs; already-running
+ * legs observe the same flag at frame boundaries via their own
+ * supervised gates.
  *
  * See docs/parallelism.md for the full contract.
  */
@@ -34,9 +48,11 @@
 
 #include <cstdarg>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/multi_config_runner.hpp"
 #include "util/cli.hpp"
 
 namespace mltc {
@@ -110,19 +126,39 @@ private:
     std::string out_;
 };
 
+/** A sweep leg that consumes its group's shared rendering. */
+struct LockstepLegBody
+{
+    /**
+     * Build the leg's runner over the group's @p workload (keep the
+     * pointer alive as long as the runner: its sims reference the
+     * workload's textures) and return the leg's slot in the group.
+     * Throwing fails this leg alone.
+     */
+    std::function<LockstepLeg(LegContext &,
+                              const std::shared_ptr<Workload> &workload)>
+        setup;
+
+    /** Report once the group's run ended; @p manifest is this leg's. */
+    std::function<void(LegContext &, const RunManifest &manifest)> finish;
+};
+
 /**
- * Work-stealing executor for independent sweep legs.
+ * Work-stealing executor for sweep legs.
  *
  * Usage:
  *   SweepExecutor sweep(jobs);
  *   sweep.addLeg("village/bilinear", [&](LegContext &ctx) { ... });
  *   SweepManifest manifest = sweep.run();
  *
- * jobs <= 1 runs every leg inline on the calling thread in
- * registration order — bit-for-bit the old serial program. jobs > 1
- * runs legs on a ThreadPool; outputs are emitted in registration order
- * regardless of completion order, so both modes produce identical
- * bytes.
+ * or, for legs that share one render per group:
+ *   sweep.setGroupWorkload([] { return buildWorkload("village"); });
+ *   sweep.addLockstepLeg("2 MB L2", {setup, finish});
+ *
+ * jobs <= 1 runs everything inline on the calling thread in
+ * registration order. jobs > 1 runs legs (or groups) on a ThreadPool;
+ * outputs are emitted in registration order regardless of completion
+ * order, so every jobs count produces identical bytes.
  */
 class SweepExecutor
 {
@@ -132,6 +168,19 @@ public:
 
     /** Register a leg; legs run (or at least emit) in this order. */
     void addLeg(std::string name, std::function<void(LegContext &)> body);
+
+    /**
+     * Register a lockstep leg (see the file comment). An executor runs
+     * either lockstep legs or independent ones, not both.
+     */
+    void addLockstepLeg(std::string name, LockstepLegBody body);
+
+    /** How each lockstep group builds its one shared Workload. */
+    void
+    setGroupWorkload(std::function<Workload()> build)
+    {
+        build_workload_ = std::move(build);
+    }
 
     /** Effective worker count. */
     unsigned jobs() const { return jobs_; }
@@ -160,13 +209,20 @@ private:
     struct Leg
     {
         std::string name;
-        std::function<void(LegContext &)> body;
+        std::function<void(LegContext &)> body; ///< independent leg
+        LockstepLegBody lockstep;               ///< or lockstep leg
     };
 
     void publishLegStatus(const std::vector<const char *> &status) const;
 
+    /** Run lockstep legs [first, last) as one group. */
+    void runGroup(size_t first, size_t last, std::vector<LegContext> &ctxs,
+                  SweepManifest &manifest,
+                  const std::vector<const char *> &roots) const;
+
     unsigned jobs_;
     std::vector<Leg> legs_;
+    std::function<Workload()> build_workload_;
     TelemetryServer *telemetry_ = nullptr;
 };
 

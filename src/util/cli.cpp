@@ -59,7 +59,7 @@ CommandLine::CommandLine(int argc, const char *const *argv)
         if (i + 1 < argc && !isOption(argv[i + 1])) {
             options_[body] = argv[++i];
         } else {
-            options_[body] = "1";
+            options_[body] = std::string(1, '1'); // = "1": GCC 12 -Wrestrict
         }
     }
 }

@@ -26,7 +26,13 @@ errorCodeName(ErrorCode code)
 std::string
 Error::describe() const
 {
-    return "[" + std::string(errorCodeName(code)) + "] " + message;
+    // Appended piecewise: the equivalent `"[" + std::string(...)` chain
+    // trips a GCC 12 -Wrestrict false positive inside libstdc++.
+    std::string out(1, '[');
+    out += errorCodeName(code);
+    out += "] ";
+    out += message;
+    return out;
 }
 
 } // namespace mltc

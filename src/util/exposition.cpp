@@ -29,7 +29,7 @@ sanitizeName(const std::string &name, bool allow_colon)
         out += legalNameChar(c, out.empty(), allow_colon) ? c : '_';
     }
     if (out.empty())
-        out = "_";
+        out.push_back('_'); // `out = "_"` trips GCC 12 -Wrestrict
     return out;
 }
 

@@ -229,8 +229,9 @@ class BatchSpanTest : public ::testing::Test
     {
         for (size_t i = 0; i < refs.size(); i += span_len) {
             const size_t n = std::min(span_len, refs.size() - i);
-            std::vector<TexelRef> span(refs.begin() + i,
-                                       refs.begin() + i + n);
+            const auto from = refs.begin() + static_cast<std::ptrdiff_t>(i);
+            std::vector<TexelRef> span(from,
+                                       from + static_cast<std::ptrdiff_t>(n));
             batched.accessBatch(span);
             replayScalar(scalar, span);
         }
@@ -324,7 +325,8 @@ TEST_F(BatchSpanTest, TextureBindsBetweenSpans)
         batched.bindTexture(tid);
         scalar.bindTexture(tid);
         const uint32_t dim = tid == tex ? 256 : 128;
-        const auto refs = randomRefs(100, dim, 1000 + round);
+        const auto refs =
+            randomRefs(100, dim, static_cast<uint64_t>(1000 + round));
         batched.accessBatch(refs);
         replayScalar(scalar, refs);
     }

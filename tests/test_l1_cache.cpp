@@ -181,10 +181,10 @@ TEST_P(L1AssocTest, StatsAlwaysConsistent)
 
 INSTANTIATE_TEST_SUITE_P(Assoc, L1AssocTest,
                          ::testing::Values(1u, 2u, 4u, 8u, 0u),
-                         [](const ::testing::TestParamInfo<uint32_t> &info) {
-                             return info.param == 0
+                         [](const ::testing::TestParamInfo<uint32_t> &tp) {
+                             return tp.param == 0
                                         ? std::string("full")
-                                        : std::to_string(info.param) + "way";
+                                        : std::to_string(tp.param) + "way";
                          });
 
 } // namespace

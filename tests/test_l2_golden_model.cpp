@@ -158,11 +158,13 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{16, 32, 4, 120, 4},
                       GoldenCase{16, 16, 8, 120, 5},
                       GoldenCase{8, 8, 4, 300, 6}),
-    [](const ::testing::TestParamInfo<GoldenCase> &info) {
-        return "b" + std::to_string(info.param.blocks) + "_t" +
-               std::to_string(info.param.l2_tile) + "_s" +
-               std::to_string(info.param.l1_tile) + "_n" +
-               std::to_string(info.param.table_span);
+    [](const ::testing::TestParamInfo<GoldenCase> &tp) {
+        // std::string("b"), not "b": `"b" + std::string&&` trips a
+        // GCC 12 -Wrestrict false positive at -O3.
+        return std::string("b") + std::to_string(tp.param.blocks) + "_t" +
+               std::to_string(tp.param.l2_tile) + "_s" +
+               std::to_string(tp.param.l1_tile) + "_n" +
+               std::to_string(tp.param.table_span);
     });
 
 } // namespace

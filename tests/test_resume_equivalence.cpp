@@ -199,7 +199,7 @@ TEST(ResumeEquivalence, EverySnapshotFrame)
 {
     for (int k = 1; k < 5; ++k)
         checkResumeEquivalence(FilterMode::Trilinear, 5, k, {},
-                               "k" + std::to_string(k));
+                               std::string("k") + std::to_string(k));
 }
 
 TEST(ResumeEquivalence, FaultInjectionRngRoundTrips)

@@ -17,7 +17,7 @@ namespace {
 class RecordingSink final : public TexelAccessSink
 {
   public:
-    void bindTexture(TextureId tid) override { this->tid = tid; }
+    void bindTexture(TextureId bound) override { tid = bound; }
 
     void
     access(uint32_t x, uint32_t y, uint32_t mip) override
