@@ -12,6 +12,7 @@
 #ifndef MLTC_RASTER_ACCESS_SINK_HPP
 #define MLTC_RASTER_ACCESS_SINK_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,13 +23,15 @@ namespace mltc {
 
 /**
  * One element of a batched access stream: a lossless encoding of the
- * scalar sink events between two texture binds. Producers (sampler,
- * trace replay, multi-stream replay) buffer these a scanline (or a few
- * thousand events) at a time and hand the span to accessBatch(), paying
- * one virtual call and one observability-hook crossing per batch
- * instead of per texel. Pixel markers are recorded verbatim — never
- * deduplicated — so replaying a batch element-by-element through the
- * scalar entry points reproduces the exact scalar event sequence.
+ * scalar sink events between two texture binds, and the only encoding
+ * in which producers (sampler, trace replay, multi-stream record and
+ * replay) emit or store the texel stream. They buffer these a scanline
+ * (or a few thousand events) at a time and hand the span to
+ * accessBatch(), paying one virtual call and one observability-hook
+ * crossing per batch instead of per texel. Pixel markers are recorded
+ * verbatim — never deduplicated — so replaying a batch
+ * element-by-element through the scalar entry points reproduces the
+ * exact scalar event sequence.
  */
 struct TexelRef
 {
@@ -66,18 +69,11 @@ struct TexelRef
 };
 
 /**
- * Process-wide batched-emission toggle. On (the default, overridable
- * with the MLTC_BATCH environment variable: "0"/"false"/"off" disable)
- * the rasterizer, trace replay and multi-stream replay buffer the
- * access stream into TexelRef spans and deliver it via accessBatch();
- * off they call the scalar entry points per event. Both modes are
- * byte-identical by contract (tests/test_batch_equivalence.cpp); the
- * toggle exists for differential testing and for bisecting perf.
+ * Largest span a producer buffers before handing it to accessBatch():
+ * trace replay's span size, and the sampler's backstop (the rasterizer
+ * flushes per scanline, well below it).
  */
-bool batchedAccess();
-
-/** Override the batched-emission toggle (--batch / --no-batch). */
-void setBatchedAccess(bool on);
+constexpr size_t kMaxSpanRefs = 4096;
 
 /** Receives the texel access stream from the rasterizer. */
 class TexelAccessSink
@@ -128,7 +124,8 @@ class TexelAccessSink
      * bind). The default replays the span through the scalar entry
      * points in order, which makes every sink batch-correct by
      * construction; CacheSim overrides this with a vectorized fast
-     * path that is bit-identical to the replay.
+     * path that is bit-identical to the replay. The scalar entry points
+     * are the reference the differential suites compare against.
      */
     virtual void
     accessBatch(std::span<const TexelRef> refs)

@@ -4,7 +4,8 @@
  *
  * For every filtered sample it emits the exact set of texel references
  * the filter footprint touches (1, 4 or 8 texels) to the attached
- * TexelAccessSink, and — when shading is enabled — computes the filtered
+ * TexelAccessSink, buffered into TexelRef spans delivered through
+ * accessBatch(), and — when shading is enabled — computes the filtered
  * color for display.
  */
 #ifndef MLTC_RASTER_SAMPLER_HPP
@@ -43,22 +44,11 @@ class TextureSampler
     }
 
     /**
-     * Buffer footprints into TexelRef spans and deliver them through
-     * accessBatch() instead of per-event scalar calls (the rasterizer
-     * enables this per frame from the process-wide batchedAccess()
-     * toggle). The emitted event sequence is identical either way.
+     * Deliver any buffered accesses to the sink as one batch. The
+     * sampler always buffers its footprints into TexelRef spans; they
+     * reach the sink here, on bind()/setSink(), and whenever the buffer
+     * fills. Call this before inspecting the sink.
      */
-    void
-    setBatching(bool enabled)
-    {
-        if (!enabled)
-            flushBatch();
-        batching_ = enabled;
-    }
-
-    bool batching() const { return batching_; }
-
-    /** Deliver any buffered accesses to the sink as one batch. */
     void
     flushBatch()
     {
@@ -87,12 +77,8 @@ class TextureSampler
     void
     beginPixel(uint32_t px, uint32_t py)
     {
-        if (!sink_)
-            return;
-        if (batching_)
+        if (sink_)
             push(TexelRef::pixel(px, py));
-        else
-            sink_->beginPixel(px, py);
     }
 
     /**
@@ -126,14 +112,11 @@ class TextureSampler
     /** sample() body, shared by the traced and untraced branches. */
     uint32_t sampleImpl(float u, float v, float lambda);
 
-    /** Backstop cap; the rasterizer flushes per scanline well below it. */
-    static constexpr size_t kBatchCap = 4096;
-
     void
     push(const TexelRef &r)
     {
         batch_.push_back(r);
-        if (batch_.size() >= kBatchCap)
+        if (batch_.size() >= kMaxSpanRefs)
             flushBatch();
     }
 
@@ -141,7 +124,6 @@ class TextureSampler
     TexelAccessSink *sink_ = nullptr;
     FilterMode filter_ = FilterMode::Point;
     bool shading_ = false;
-    bool batching_ = false;
     uint32_t max_level_ = 0;
     uint64_t accesses_ = 0;
     uint64_t sample_ns_ = 0; ///< SelfTimer accumulator (tracing only)

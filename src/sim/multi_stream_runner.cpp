@@ -32,44 +32,6 @@ namespace {
 
 constexpr uint32_t kMsTag = snapTag("MST ");
 
-/** Max refs buffered per accessBatch() call during batched replay. */
-constexpr size_t kReplayBatchCap = 4096;
-
-/** Buffers the rasterizer's texel stream as RecordedOps. */
-class RecordingSink final : public TexelAccessSink
-{
-  public:
-    explicit RecordingSink(std::vector<RecordedOp> &out) : out_(out) {}
-
-    void
-    bindTexture(TextureId tid) override
-    {
-        out_.push_back({tid, 0, 0, 0, 0, 0});
-    }
-
-    void
-    beginPixel(uint32_t px, uint32_t py) override
-    {
-        out_.push_back({px, py, 0, 0, 1, 0});
-    }
-
-    void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        out_.push_back({x, y, 0, 0, 2, static_cast<uint8_t>(mip)});
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        out_.push_back({x0, y0, x1, y1, 3, static_cast<uint8_t>(mip)});
-    }
-
-  private:
-    std::vector<RecordedOp> &out_;
-};
-
 /** Smallest power of two >= @p v. */
 uint32_t
 pow2Ceil(uint32_t v)
@@ -81,21 +43,27 @@ pow2Ceil(uint32_t v)
 }
 
 /**
- * Remap a recorded texel coordinate one or more MIP levels coarser
- * (the governor's LOD bias). Exact: clamps to the biased level's
- * extent so non-square pyramids stay in range.
+ * Remap a recorded texel or quad one or more MIP levels coarser (the
+ * governor's LOD bias). Exact: clamps to the biased level's extent so
+ * non-square pyramids stay in range. Pixel markers pass unchanged.
  */
 void
-biasCoord(const MipPyramid &pyr, uint32_t bias, uint32_t &x, uint32_t &y,
-          uint32_t &mip)
+biasCoord(const MipPyramid &pyr, uint32_t bias, TexelRef &r)
 {
+    if (r.kind == TexelRef::kPixel)
+        return;
+    const uint32_t mip = r.mip;
     const uint32_t m =
         std::min(mip + bias, pyr.levels() > 0 ? pyr.levels() - 1 : 0u);
     const uint32_t shift = m - mip;
     const Image &lvl = pyr.level(m);
-    x = std::min(x >> shift, lvl.width() - 1);
-    y = std::min(y >> shift, lvl.height() - 1);
-    mip = m;
+    r.x0 = std::min(r.x0 >> shift, lvl.width() - 1);
+    r.y0 = std::min(r.y0 >> shift, lvl.height() - 1);
+    if (r.kind == TexelRef::kQuad) {
+        r.x1 = std::min(r.x1 >> shift, lvl.width() - 1);
+        r.y1 = std::min(r.y1 >> shift, lvl.height() - 1);
+    }
+    r.mip = static_cast<uint16_t>(m);
 }
 
 /** SLO metric names the multi-stream runner can sample per round. */
@@ -241,14 +209,17 @@ MultiStreamRunner::recordThrasher(StreamRuntime &st)
         static_cast<uint64_t>(st.thrasher_grid) * st.thrasher_grid;
     const uint64_t per_round = std::min(2 * l2_blocks, total);
 
-    st.pending.push_back({st.thrasher_tid, 0, 0, 0, 0, 0});
+    std::vector<TexelRef> sweep;
+    sweep.reserve(per_round);
     for (uint64_t i = 0; i < per_round; ++i) {
         const uint64_t b = (st.thrasher_cursor + i) % total;
         const uint32_t bx = static_cast<uint32_t>(b % st.thrasher_grid);
         const uint32_t by = static_cast<uint32_t>(b / st.thrasher_grid);
-        st.pending.push_back(
-            {bx * cfg_.l2_tile, by * cfg_.l2_tile, 0, 0, 2, 0});
+        sweep.push_back(
+            TexelRef::texel(bx * cfg_.l2_tile, by * cfg_.l2_tile, 0));
     }
+    st.pending.bindTexture(st.thrasher_tid);
+    st.pending.accessBatch(sweep);
     st.thrasher_cursor = (st.thrasher_cursor + per_round) % total;
 }
 
@@ -265,8 +236,7 @@ MultiStreamRunner::recordRound(uint32_t round)
             if (st.workload) {
                 Rasterizer raster(cfg_.width, cfg_.height);
                 raster.setFilter(st.spec.filter);
-                RecordingSink rec(st.pending);
-                raster.setSink(&rec);
+                raster.setSink(&st.pending);
                 const int total = st.workload->default_frames;
                 const int frame =
                     static_cast<int>(round + st.spec.phase) % total;
@@ -301,86 +271,25 @@ MultiStreamRunner::replayStream(uint32_t index)
     CacheSim &sim = *st.sim;
     const uint32_t bias = governor_.bias(index);
     const MipPyramid *pyr = nullptr;
-
-    if (batchedAccess()) {
-        // Decode recorded ops (LOD bias applied here, at decode time)
-        // into TexelRef batches; the batch drains before every bind so
-        // all buffered refs replay under the binding they were recorded
-        // with. Event order is identical to the scalar loop below.
-        std::vector<TexelRef> batch;
-        batch.reserve(kReplayBatchCap);
-        auto flush = [&] {
-            if (!batch.empty()) {
-                sim.accessBatch(batch);
-                batch.clear();
-            }
-        };
-        for (const RecordedOp &op : st.pending) {
-            switch (op.kind) {
-              case 0:
-                flush();
-                sim.bindTexture(op.a);
-                pyr = &st.textures().texture(op.a).pyramid;
-                break;
-              case 1:
-                batch.push_back(TexelRef::pixel(op.a, op.b));
-                break;
-              case 2: {
-                uint32_t x = op.a, y = op.b, mip = op.mip;
-                if (bias != 0)
-                    biasCoord(*pyr, bias, x, y, mip);
-                batch.push_back(TexelRef::texel(x, y, mip));
-                break;
-              }
-              default: {
-                uint32_t x0 = op.a, y0 = op.b, x1 = op.c, y1 = op.d;
-                uint32_t mip = op.mip;
-                if (bias != 0) {
-                    uint32_t m0 = op.mip, m1 = op.mip;
-                    biasCoord(*pyr, bias, x0, y0, m0);
-                    biasCoord(*pyr, bias, x1, y1, m1);
-                    mip = m0;
-                }
-                batch.push_back(TexelRef::quad(x0, y0, x1, y1, mip));
-                break;
-              }
-            }
-            if (batch.size() >= kReplayBatchCap)
-                flush();
+    const TexelRef *next = st.pending.refs.data();
+    std::vector<TexelRef> biased;
+    for (const RecordedStream::Event &ev : st.pending.events) {
+        if (ev.bind) {
+            sim.bindTexture(ev.tid);
+            pyr = &st.textures().texture(ev.tid).pyramid;
+            continue;
         }
-        flush();
-        return;
-    }
-
-    for (const RecordedOp &op : st.pending) {
-        switch (op.kind) {
-          case 0:
-            sim.bindTexture(op.a);
-            pyr = &st.textures().texture(op.a).pyramid;
-            break;
-          case 1:
-            sim.beginPixel(op.a, op.b);
-            break;
-          case 2: {
-            uint32_t x = op.a, y = op.b, mip = op.mip;
-            if (bias != 0)
-                biasCoord(*pyr, bias, x, y, mip);
-            sim.access(x, y, mip);
-            break;
-          }
-          default: {
-            uint32_t x0 = op.a, y0 = op.b, x1 = op.c, y1 = op.d;
-            uint32_t mip = op.mip;
-            if (bias != 0) {
-                uint32_t m0 = op.mip, m1 = op.mip;
-                biasCoord(*pyr, bias, x0, y0, m0);
-                biasCoord(*pyr, bias, x1, y1, m1);
-                mip = m0;
-            }
-            sim.accessQuad(x0, y0, x1, y1, mip);
-            break;
-          }
+        const std::span<const TexelRef> span(next, ev.count);
+        next += ev.count;
+        if (bias == 0) {
+            sim.accessBatch(span);
+            continue;
         }
+        // The governor's LOD bias coarsens a copy of the span.
+        biased.assign(span.begin(), span.end());
+        for (TexelRef &r : biased)
+            biasCoord(*pyr, bias, r);
+        sim.accessBatch(biased);
     }
 }
 

@@ -16,8 +16,8 @@
  *  - a round is one frame per stream. Rasterization is side-effect
  *    free per stream, so rounds record each stream's texel access
  *    stream concurrently on a SweepExecutor (each leg writes only its
- *    own op buffer);
- *  - the shared L2 is mutable state, so the recorded ops are replayed
+ *    own RecordedStream of binds and TexelRef spans);
+ *  - the shared L2 is mutable state, so the recorded spans are replayed
  *    into it strictly serially in stream order. The replayed byte
  *    stream — and therefore every counter, CSV and checkpoint — is
  *    invariant to --jobs.
@@ -102,16 +102,68 @@ struct MultiStreamConfig
 };
 
 /**
- * One recorded texel-stream operation. Rounds record each stream's
- * access stream in parallel and replay the buffers serially into the
- * shared L2 (see file comment); the LOD bias the bandwidth governor
- * assigns is applied during replay, not recording.
+ * One stream's recorded round: the texture binds and TexelRef spans
+ * its producer delivered, kept in delivery order. Rounds record each
+ * stream's access stream in parallel and replay the buffers serially
+ * into the shared L2 (see file comment); the LOD bias the bandwidth
+ * governor assigns is applied during replay, not recording.
  */
-struct RecordedOp
+class RecordedStream final : public TexelAccessSink
 {
-    uint32_t a = 0, b = 0, c = 0, d = 0;
-    uint8_t kind = 0; ///< 0 bind, 1 beginPixel, 2 access, 3 quad
-    uint8_t mip = 0;
+  public:
+    /** A texture bind, or a span: the next @c count entries of refs. */
+    struct Event
+    {
+        bool bind = false;
+        TextureId tid = 0;  ///< bind only
+        uint32_t count = 0; ///< span only
+    };
+
+    void
+    bindTexture(TextureId tid) override
+    {
+        events.push_back({true, tid, 0});
+    }
+
+    void
+    accessBatch(std::span<const TexelRef> span) override
+    {
+        events.push_back({false, 0, static_cast<uint32_t>(span.size())});
+        refs.insert(refs.end(), span.begin(), span.end());
+    }
+
+    // Scalar events are recorded as one-ref spans.
+    void
+    beginPixel(uint32_t px, uint32_t py) override
+    {
+        record(TexelRef::pixel(px, py));
+    }
+
+    void
+    access(uint32_t x, uint32_t y, uint32_t mip) override
+    {
+        record(TexelRef::texel(x, y, mip));
+    }
+
+    void
+    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
+               uint32_t mip) override
+    {
+        record(TexelRef::quad(x0, y0, x1, y1, mip));
+    }
+
+    void
+    clear()
+    {
+        events.clear();
+        refs.clear();
+    }
+
+    std::vector<Event> events;
+    std::vector<TexelRef> refs; ///< every span's refs, back to back
+
+  private:
+    void record(const TexelRef &r) { accessBatch({&r, 1}); }
 };
 
 /** One stream's per-round report row. */
@@ -245,7 +297,7 @@ class MultiStreamRunner
         uint64_t thrasher_cursor = 0; ///< next block index to touch
         std::unique_ptr<CacheSim> sim;
         std::unique_ptr<ReuseDistanceTracker> tracker;
-        std::vector<RecordedOp> pending; ///< this round's recorded ops
+        RecordedStream pending; ///< this round's recorded stream
         bool dead = false;
         Error error;
         uint32_t quarantined_at = 0;

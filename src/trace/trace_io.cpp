@@ -132,12 +132,10 @@ TraceReader::replayFrame(TexelAccessSink &sink)
 {
     // Runs of kAccess ops are buffered into one accessBatch() call; the
     // buffer is drained before every bind (batches never span a texture
-    // binding) and at end of frame, so the sink observes the exact same
-    // event sequence as the scalar replay.
-    const bool batched = batchedAccess();
+    // binding) and at end of frame, so the sink observes the recorded
+    // event sequence.
     std::vector<TexelRef> batch;
-    if (batched)
-        batch.reserve(kReplayBatchCap);
+    batch.reserve(kMaxSpanRefs);
     auto flush = [&] {
         if (!batch.empty()) {
             sink.accessBatch(batch);
@@ -170,13 +168,9 @@ TraceReader::replayFrame(TexelAccessSink &sink)
                 throw Exception(ErrorCode::Truncated,
                                 "TraceReader: truncated access at offset " +
                                     at);
-            if (batched) {
-                batch.push_back(TexelRef::texel(x, y, mip));
-                if (batch.size() >= kReplayBatchCap)
-                    flush();
-            } else {
-                sink.access(x, y, mip);
-            }
+            batch.push_back(TexelRef::texel(x, y, mip));
+            if (batch.size() >= kMaxSpanRefs)
+                flush();
             break;
           }
           case kEndFrame:

@@ -26,11 +26,40 @@
 namespace mltc {
 namespace {
 
-/** Restores the process-wide batching toggle on scope exit. */
-struct BatchToggleGuard
+/**
+ * The scalar oracle for rendered frames: forwards every event to its
+ * CacheSim's scalar entry points. It keeps the base-class accessBatch(),
+ * so each span the sampler delivers is replayed through
+ * access()/accessQuad()/beginPixel() one event at a time.
+ */
+class ScalarReplaySink final : public TexelAccessSink
 {
-    bool saved = batchedAccess();
-    ~BatchToggleGuard() { setBatchedAccess(saved); }
+  public:
+    explicit ScalarReplaySink(CacheSim &sim) : sim_(sim) {}
+
+    void bindTexture(TextureId tid) override { sim_.bindTexture(tid); }
+
+    void
+    beginPixel(uint32_t px, uint32_t py) override
+    {
+        sim_.beginPixel(px, py);
+    }
+
+    void
+    access(uint32_t x, uint32_t y, uint32_t mip) override
+    {
+        sim_.access(x, y, mip);
+    }
+
+    void
+    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
+               uint32_t mip) override
+    {
+        sim_.accessQuad(x0, y0, x1, y1, mip);
+    }
+
+  private:
+    CacheSim &sim_;
 };
 
 /** Complete simulator state as bytes — the strongest equality there is. */
@@ -108,26 +137,27 @@ faultyHost()
 
 /**
  * The rendering differential: the same workload rendered twice through
- * the full rasterizer → sampler → CacheSim pipeline, once batched and
- * once scalar, must produce identical per-frame stats and an identical
- * end-state snapshot.
+ * the full rasterizer → sampler → CacheSim pipeline, once into the
+ * CacheSim's batched accessBatch() and once through ScalarReplaySink,
+ * must produce identical per-frame stats and an identical end-state
+ * snapshot.
  */
 void
 checkRenderDifferential(Workload (*build)(), FilterMode filter,
                         const CacheSimConfig &cfg, int frames,
                         const std::string &ctx)
 {
-    BatchToggleGuard guard;
     std::vector<CacheFrameStats> rows[2];
     std::vector<uint8_t> snap[2];
     uint64_t texels[2] = {0, 0};
     for (int mode = 0; mode < 2; ++mode) {
-        setBatchedAccess(mode == 1);
         Workload wl = build();
         CacheSim sim(*wl.textures, cfg, "diff");
+        ScalarReplaySink scalar(sim);
         Rasterizer raster(96, 64);
         raster.setFilter(filter);
-        raster.setSink(&sim);
+        raster.setSink(mode == 1 ? static_cast<TexelAccessSink *>(&sim)
+                                 : &scalar);
         const float aspect = 96.0f / 64.0f;
         for (int f = 0; f < frames; ++f) {
             Camera cam = wl.cameraAtFrame(f, wl.default_frames, aspect);
@@ -465,15 +495,6 @@ TEST(BatchSinkDefaults, CountingSinkCountsBatchedRefs)
     refs.push_back(TexelRef::pixel(9, 9));
     sink.accessBatch(refs);
     EXPECT_EQ(sink.count, 5u); // 1 texel + 4 quad corners, pixel ignored
-}
-
-TEST(BatchSinkDefaults, ToggleRoundTrips)
-{
-    BatchToggleGuard guard;
-    setBatchedAccess(false);
-    EXPECT_FALSE(batchedAccess());
-    setBatchedAccess(true);
-    EXPECT_TRUE(batchedAccess());
 }
 
 } // namespace

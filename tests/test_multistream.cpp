@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <csignal>
 #include <fstream>
 #include <sstream>
@@ -277,6 +278,40 @@ TEST(MultiStream, OverBudgetStreamShedsLoadViaLodBias)
     EXPECT_GT(peak_bias, 0u);
     EXPECT_GT(runner.governorOverBudgetRounds(0), 0u);
     EXPECT_LT(rows.back().host_bytes, rows.front().host_bytes);
+
+    // The biased replay, pinned exactly: both streams' per-round rows
+    // {accesses, l1_misses, l2_full_hits, l2_partial_hits,
+    // l2_full_misses, host_bytes, lod_bias}. The bias engages on both.
+    const std::vector<std::array<uint64_t, 7>> expected[2] = {
+        {{39436, 323, 57, 192, 74, 17024, 0},
+         {40028, 103, 90, 9, 4, 832, 1},
+         {40876, 112, 112, 0, 0, 0, 1},
+         {41708, 358, 191, 148, 19, 10688, 0},
+         {43252, 175, 154, 19, 2, 1344, 1},
+         {35028, 81, 81, 0, 0, 0, 1},
+         {33924, 220, 175, 41, 4, 2880, 0},
+         {34888, 265, 213, 49, 3, 3328, 0}},
+        {{24936, 201, 3, 42, 156, 12672, 0},
+         {25076, 119, 118, 0, 1, 64, 1},
+         {25376, 119, 119, 0, 0, 0, 1},
+         {25596, 199, 198, 0, 1, 64, 0},
+         {25704, 204, 200, 2, 2, 256, 0},
+         {25988, 207, 204, 0, 3, 192, 0},
+         {26168, 209, 208, 0, 1, 64, 0},
+         {26412, 212, 209, 2, 1, 192, 0}}};
+    for (uint32_t s = 0; s < 2; ++s) {
+        const std::vector<StreamRoundRow> &got = runner.rows(s);
+        ASSERT_EQ(got.size(), expected[s].size()) << "stream " << s;
+        for (size_t r = 0; r < got.size(); ++r) {
+            const std::array<uint64_t, 7> row = {
+                got[r].accesses,        got[r].l1_misses,
+                got[r].l2_full_hits,    got[r].l2_partial_hits,
+                got[r].l2_full_misses,  got[r].host_bytes,
+                got[r].lod_bias};
+            EXPECT_EQ(row, expected[s][r])
+                << "stream " << s << " round " << r;
+        }
+    }
 }
 
 TEST(MultiStream, SigkillResumeIsBitIdentical)

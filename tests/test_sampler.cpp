@@ -22,12 +22,13 @@ class RecordingSink final : public TexelAccessSink
     void
     access(uint32_t x, uint32_t y, uint32_t mip) override
     {
-        records.push_back({x, y, mip});
+        records.push_back({x, y, mip, tid});
     }
 
     struct Rec
     {
         uint32_t x, y, mip;
+        TextureId tid; ///< binding the access arrived under
     };
     std::vector<Rec> records;
     TextureId tid = 0;
@@ -54,12 +55,34 @@ class SamplerTest : public ::testing::Test
 TEST_F(SamplerTest, BindNotifiesSink)
 {
     EXPECT_EQ(sink.tid, tid);
+
+    // Buffered refs reach the sink under the binding they were sampled
+    // with: bind() flushes them before announcing the new texture...
+    sampler.setFilter(FilterMode::Point);
+    sampler.sample(0.5f, 0.5f, 0.0f);
+    const TextureId other = tm.load(
+        "other", MipPyramid(makeChecker(32, 8, packRgba(0, 0, 0),
+                                        packRgba(255, 255, 255))));
+    sampler.bind(tm.texture(other));
+    ASSERT_EQ(sink.records.size(), 1u);
+    EXPECT_EQ(sink.records[0].tid, tid);
+    EXPECT_EQ(sink.tid, other);
+
+    // ...and setSink() flushes them to the sink they were sampled for.
+    sampler.sample(0.5f, 0.5f, 0.0f);
+    RecordingSink next;
+    sampler.setSink(&next);
+    sampler.flushBatch();
+    ASSERT_EQ(sink.records.size(), 2u);
+    EXPECT_EQ(sink.records[1].tid, other);
+    EXPECT_TRUE(next.records.empty());
 }
 
 TEST_F(SamplerTest, PointEmitsOneAccess)
 {
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.5f, 0.5f, 0.0f);
+    sampler.flushBatch();
     ASSERT_EQ(sink.records.size(), 1u);
     EXPECT_EQ(sink.records[0].x, 32u);
     EXPECT_EQ(sink.records[0].y, 32u);
@@ -71,6 +94,7 @@ TEST_F(SamplerTest, BilinearEmitsFourNeighbours)
 {
     sampler.setFilter(FilterMode::Bilinear);
     sampler.sample(0.25f, 0.25f, 0.0f);
+    sampler.flushBatch();
     ASSERT_EQ(sink.records.size(), 4u);
     // All four accesses at level 0, forming a 2x2 quad.
     uint32_t minx = ~0u, maxx = 0, miny = ~0u, maxy = 0;
@@ -89,6 +113,7 @@ TEST_F(SamplerTest, TrilinearEmitsEightAcrossTwoLevels)
 {
     sampler.setFilter(FilterMode::Trilinear);
     sampler.sample(0.5f, 0.5f, 1.5f);
+    sampler.flushBatch();
     ASSERT_EQ(sink.records.size(), 8u);
     int level1 = 0, level2 = 0;
     for (const auto &r : sink.records) {
@@ -105,6 +130,7 @@ TEST_F(SamplerTest, TrilinearMagnificationDegeneratesToBilinear)
 {
     sampler.setFilter(FilterMode::Trilinear);
     sampler.sample(0.5f, 0.5f, -2.0f);
+    sampler.flushBatch();
     EXPECT_EQ(sink.records.size(), 4u);
     for (const auto &r : sink.records)
         EXPECT_EQ(r.mip, 0u);
@@ -114,6 +140,7 @@ TEST_F(SamplerTest, TrilinearClampsAtCoarsestLevel)
 {
     sampler.setFilter(FilterMode::Trilinear);
     sampler.sample(0.5f, 0.5f, 100.0f);
+    sampler.flushBatch();
     // Both probe levels clamp to the 1x1 top: a single bilinear probe.
     EXPECT_EQ(sink.records.size(), 4u);
     for (const auto &r : sink.records)
@@ -125,6 +152,7 @@ TEST_F(SamplerTest, PointRoundsLambda)
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.0f, 0.0f, 0.4f);
     sampler.sample(0.0f, 0.0f, 0.6f);
+    sampler.flushBatch();
     ASSERT_EQ(sink.records.size(), 2u);
     EXPECT_EQ(sink.records[0].mip, 0u);
     EXPECT_EQ(sink.records[1].mip, 1u);
@@ -134,6 +162,7 @@ TEST_F(SamplerTest, NegativeLambdaClampsToBase)
 {
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.1f, 0.1f, -5.0f);
+    sampler.flushBatch();
     EXPECT_EQ(sink.records[0].mip, 0u);
 }
 
@@ -141,6 +170,7 @@ TEST_F(SamplerTest, UvWrapsOutsideUnitSquare)
 {
     sampler.setFilter(FilterMode::Point);
     sampler.sample(1.25f, -0.75f, 0.0f);
+    sampler.flushBatch();
     ASSERT_EQ(sink.records.size(), 1u);
     EXPECT_EQ(sink.records[0].x, 16u); // 1.25 * 64 = 80 -> wraps to 16
     EXPECT_EQ(sink.records[0].y, 16u); // -0.75 * 64 = -48 -> wraps to 16
