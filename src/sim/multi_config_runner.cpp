@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
+#include <functional>
 #include <string>
 
 #include "obs/flight_recorder.hpp"
@@ -14,18 +14,6 @@
 #include "util/serializer.hpp"
 
 namespace mltc {
-
-const char *
-runOutcomeName(RunOutcome outcome)
-{
-    switch (outcome) {
-      case RunOutcome::Completed: return "completed";
-      case RunOutcome::Cancelled: return "cancelled";
-      case RunOutcome::DeadlineExceeded: return "deadline-exceeded";
-      case RunOutcome::BudgetExhausted: return "budget-exhausted";
-    }
-    return "?";
-}
 
 size_t
 RunManifest::quarantinedCount() const
@@ -568,15 +556,8 @@ class GuardedSink final : public TexelAccessSink
         q_->at_frame = *current_frame_;
         ++q_->failures;
         q_->revive_at_frame = -1; // gate reschedules from the new failure
-        if (ChromeTraceWriter *t = globalTracer()) {
-            t->instant("sim.quarantined", "runner");
-            // A quarantine often precedes an operator killing the run:
-            // make sure the evidence reaches the file now.
-            t->flush();
-        }
-        flightEvent("sim.quarantined", "resilience",
-                    static_cast<double>(*current_frame_));
-        flightDump("quarantine");
+        quarantineNotice("sim.quarantined",
+                         static_cast<double>(*current_frame_));
     }
 
   private:
@@ -656,20 +637,19 @@ using MsDouble = std::chrono::duration<double, std::milli>;
 
 struct MultiConfigRunner::Supervision
 {
-    ResilienceConfig rc;
+    Supervision(const ResilienceConfig &rc, MultiConfigRunner &runner)
+        : sup(rc, std::bind_front(&MultiConfigRunner::saveCheckpoint, &runner),
+              runner.obs_)
+    {
+    }
+
+    RunSupervisor sup; ///< gate, deadline, checkpoint ladder, end of run
     RowCallback cb;
     int start_frame = 0;   ///< first frame this runner consumes
     int current_frame = 0; ///< frame the guards attribute failures to
     int next_frame = 0;    ///< where a resume would continue
     std::vector<std::unique_ptr<GuardedSink>> guards; ///< parallel to sims_
     FanoutSink fanout;
-    Clock::time_point run_start;
-    RunOutcome outcome = RunOutcome::Completed;
-    bool stop = false; ///< a deadline overran: stop at the next gate
-    uint32_t checkpoints_written = 0;
-    int checkpoint_write_failures = 0;
-    uint32_t ckpt_backoff = 0; ///< doubling skip multiplier (0 = healthy)
-    int ckpt_retry_at = -1;    ///< first frame allowed to retry commits
 };
 
 void
@@ -690,7 +670,7 @@ MultiConfigRunner::publishRunTelemetry(const char *status, int frame)
     h.kv("frames", static_cast<int64_t>(config_.frames));
     h.kv("quarantined", static_cast<uint64_t>(dead));
     h.kv("checkpoint_write_failures",
-         static_cast<int64_t>(sup_->checkpoint_write_failures));
+         static_cast<int64_t>(sup_->sup.checkpointWriteFailures()));
     h.endObject();
     obs_->telemetry()->publishHealth(h.str());
 
@@ -722,6 +702,7 @@ MultiConfigRunner::beginSupervised(const ResilienceConfig &rc,
                                    const char *profile_root)
 {
     sup_.reset();
+    auto s = std::make_unique<Supervision>(rc, *this);
     int start_frame = 0;
     if (rc.resume)
         start_frame = loadCheckpoint(rc.checkpoint_path);
@@ -732,8 +713,6 @@ MultiConfigRunner::beginSupervised(const ResilienceConfig &rc,
     if (quarantine_.size() != sims_.size())
         quarantine_.assign(sims_.size(), {});
 
-    auto s = std::make_unique<Supervision>();
-    s->rc = rc;
     s->cb = cb;
     s->start_frame = s->current_frame = s->next_frame = start_frame;
     s->guards.reserve(sims_.size());
@@ -748,7 +727,6 @@ MultiConfigRunner::beginSupervised(const ResilienceConfig &rc,
         s->fanout.add(push_.get());
     for (auto *sink : extra_sinks_)
         s->fanout.add(sink);
-    s->run_start = Clock::now();
     sup_ = std::move(s);
 
     publishRunTelemetry("serving", start_frame);
@@ -759,23 +737,14 @@ bool
 MultiConfigRunner::gateFrame(int frame, bool cancelled)
 {
     Supervision &s = *sup_;
-    const ResilienceConfig &rc = s.rc;
+    const ResilienceConfig &rc = s.sup.config();
     const bool joined = frame >= s.start_frame;
     if (joined) {
         s.current_frame = frame;
         s.next_frame = frame;
     }
-    if (cancelled) {
-        s.outcome = RunOutcome::Cancelled;
+    if (!s.sup.admit(cancelled))
         return false;
-    }
-    if (s.stop)
-        return false;
-    if (rc.wall_budget_ms > 0.0 &&
-        MsDouble(Clock::now() - s.run_start).count() > rc.wall_budget_ms) {
-        s.outcome = RunOutcome::BudgetExhausted;
-        return false;
-    }
     if (!joined)
         return true;
 
@@ -836,12 +805,13 @@ MultiConfigRunner::harvestFrame(int frame, const FrameStats &fs)
     // Invariant audits at the frame boundary: a violating simulator is
     // quarantined (its state can no longer be trusted) and the healthy
     // configurations continue.
-    if (s.rc.audit != AuditLevel::Off) {
+    const AuditLevel audit = s.sup.config().audit;
+    if (audit != AuditLevel::Off) {
         for (size_t i = 0; i < sims_.size(); ++i) {
             if (quarantine_[i].dead)
                 continue;
             try {
-                sims_[i]->audit(s.rc.audit);
+                sims_[i]->audit(audit);
             } catch (const Exception &e) {
                 s.guards[i]->quarantineWith(e.error());
             }
@@ -859,52 +829,7 @@ MultiConfigRunner::harvestFrame(int frame, const FrameStats &fs)
 void
 MultiConfigRunner::commitFrame(int frame, double frame_ms)
 {
-    Supervision &s = *sup_;
-    const ResilienceConfig &rc = s.rc;
-    if (rc.frame_deadline_ms > 0.0 && frame_ms > rc.frame_deadline_ms) {
-        s.outcome = RunOutcome::DeadlineExceeded;
-        s.stop = true;
-    }
-
-    if (!rc.checkpoint_path.empty() && rc.checkpoint_every > 0 &&
-        static_cast<uint32_t>(frame + 1) % rc.checkpoint_every == 0 &&
-        frame + 1 >= s.ckpt_retry_at) {
-        try {
-            saveCheckpoint(rc.checkpoint_path, frame + 1);
-            ++s.checkpoints_written;
-            s.ckpt_backoff = 0;
-            s.ckpt_retry_at = -1;
-            if (ChromeTraceWriter *t = globalTracer())
-                t->instant("checkpoint.saved", "runner");
-            // Crash-path test hook: die *after* the checkpoint
-            // committed, leaving exactly the state a real crash would.
-            if (rc.die_after_checkpoints > 0 &&
-                s.checkpoints_written >= rc.die_after_checkpoints)
-                std::raise(SIGKILL);
-        } catch (const Exception &e) {
-            // Checkpointing is an optimisation, not a correctness
-            // requirement: degrade to skip-with-backoff (the next attempt
-            // waits exponentially more checkpoint periods) instead of
-            // aborting a healthy simulation.
-            ++s.checkpoint_write_failures;
-            s.ckpt_backoff =
-                std::min<uint32_t>(s.ckpt_backoff ? s.ckpt_backoff * 2 : 1,
-                                   64);
-            s.ckpt_retry_at =
-                frame + 1 +
-                static_cast<int>(s.ckpt_backoff *
-                                 std::max<uint32_t>(1, rc.checkpoint_every));
-            logWarn("runSupervised: checkpoint write failed (" +
-                    e.error().describe() + "); retrying at frame " +
-                    std::to_string(s.ckpt_retry_at));
-            if (obs_) {
-                auto guard = obs_->metrics().updateGuard();
-                obs_->metrics().counter("checkpoint.write_failed").inc();
-            }
-            flightEvent("checkpoint.write_failed", "resilience");
-        }
-    }
-
+    sup_->sup.commit(frame + 1, frame_ms);
     publishRunTelemetry("serving", frame + 1);
 }
 
@@ -912,47 +837,21 @@ RunManifest
 MultiConfigRunner::endSupervised()
 {
     Supervision &s = *sup_;
-    const ResilienceConfig &rc = s.rc;
-    if (s.outcome == RunOutcome::DeadlineExceeded ||
-        s.outcome == RunOutcome::BudgetExhausted)
-        flightDump("watchdog");
-
-    if (s.outcome != RunOutcome::Completed) {
-        // Interrupted (SIGINT/SIGTERM, deadline, budget): make sure every
-        // telemetry row/event up to the last complete frame is on disk
-        // even if the process is killed before close(). The metrics JSONL
-        // sink flushes per line already; the trace buffer is the one
-        // that loses data.
-        if (obs_)
-            obs_->flush();
-        else if (ChromeTraceWriter *t = globalTracer())
-            t->flush();
-    }
+    s.sup.finish(s.next_frame);
 
     RunManifest manifest;
-    manifest.outcome = s.outcome;
+    manifest.outcome = s.sup.outcome();
     manifest.frames_completed = static_cast<int>(rows_.size());
     manifest.next_frame = s.next_frame;
+    manifest.checkpoint = s.sup.config().checkpoint_path;
+    manifest.checkpoint_write_failures = s.sup.checkpointWriteFailures();
     manifest.sims.reserve(sims_.size());
     for (size_t i = 0; i < sims_.size(); ++i)
         manifest.sims.push_back({sims_[i]->label(), quarantine_[i].dead,
                                  quarantine_[i].at_frame,
                                  quarantine_[i].error,
                                  quarantine_[i].failures});
-    if (!rc.checkpoint_path.empty()) {
-        try {
-            saveCheckpoint(rc.checkpoint_path, s.next_frame);
-            manifest.checkpoint = rc.checkpoint_path;
-        } catch (const Exception &e) {
-            // The results are already in rows_/the caller's CSVs; a final
-            // checkpoint that cannot land must not erase them.
-            ++s.checkpoint_write_failures;
-            logWarn("runSupervised: final checkpoint write failed (" +
-                    e.error().describe() + ")");
-            flightDump("io");
-            manifest.checkpoint = rc.checkpoint_path;
-        }
-        manifest.checkpoint_write_failures = s.checkpoint_write_failures;
+    if (!manifest.checkpoint.empty()) {
         try {
             writeManifest(manifest);
         } catch (const Exception &e) {
@@ -960,8 +859,7 @@ MultiConfigRunner::endSupervised()
                     e.error().describe() + ")");
         }
     }
-    manifest.checkpoint_write_failures = s.checkpoint_write_failures;
-    publishRunTelemetry(runOutcomeName(s.outcome), s.next_frame);
+    publishRunTelemetry(runOutcomeName(manifest.outcome), s.next_frame);
     sup_.reset();
     return manifest;
 }

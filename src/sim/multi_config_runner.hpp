@@ -52,18 +52,6 @@ struct FrameRow
 /** Per-frame observer; also receives the row after it is stored. */
 using RowCallback = std::function<void(const FrameRow &)>;
 
-/** How a supervised run ended. */
-enum class RunOutcome : uint8_t
-{
-    Completed,        ///< every frame rendered
-    Cancelled,        ///< SIGINT/SIGTERM (checkpointed at the boundary)
-    DeadlineExceeded, ///< a frame overran --deadline-ms
-    BudgetExhausted,  ///< the run overran --budget-ms
-};
-
-/** Stable name of @p outcome for the manifest. */
-const char *runOutcomeName(RunOutcome outcome);
-
 /** Per-simulator record in the run manifest. */
 struct SimManifestEntry
 {

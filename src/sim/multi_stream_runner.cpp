@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -344,13 +344,7 @@ MultiStreamRunner::quarantineStream(uint32_t index, uint32_t round,
     row.quarantined = 1;
     rows_[index].push_back(row);
 
-    if (ChromeTraceWriter *t = globalTracer())
-        t->instant("stream.quarantined", "resilience");
-    // A tenant death is exactly what the flight recorder exists for:
-    // mark it in the ring, then land the bundle while we still can.
-    flightEvent("stream.quarantined", "resilience",
-                static_cast<double>(index));
-    flightDump("quarantine");
+    quarantineNotice("stream.quarantined", static_cast<double>(index));
 }
 
 void
@@ -604,13 +598,13 @@ MultiStreamRunner::run(const ResilienceConfig &res)
     using Clock = std::chrono::steady_clock;
     using MsDouble = std::chrono::duration<double, std::milli>;
 
-    uint32_t round = 0;
-    if (res.resume) {
-        if (res.checkpoint_path.empty())
-            throw Exception(ErrorCode::BadArgument,
-                            "--resume requires --checkpoint=PATH");
-        round = loadCheckpoint(res.checkpoint_path);
-    }
+    if (res.restart_limit > 0)
+        throw Exception(ErrorCode::BadArgument,
+                        "--restart-limit: revives quarantined sweep "
+                        "simulators; --streams has no revival");
+    RunSupervisor sup(
+        res, std::bind_front(&MultiStreamRunner::saveCheckpoint, this), obs_);
+    uint32_t round = res.resume ? loadCheckpoint(res.checkpoint_path) : 0;
 
     if (obs_ && !obs_->sloRules().empty()) {
         for (const SloRule &r : obs_->sloRules())
@@ -624,27 +618,10 @@ MultiStreamRunner::run(const ResilienceConfig &res)
         slo_ = std::make_unique<SloTracker>(obs_->sloRules());
     }
 
-    RunOutcome outcome = RunOutcome::Completed;
-    uint32_t checkpoints_written = 0;
-    int checkpoint_write_failures = 0;
-    uint32_t ckpt_backoff = 0; ///< doubling skip multiplier (0 = healthy)
-    int ckpt_retry_at = -1;    ///< first round allowed to retry commits
-    const Clock::time_point run_start = Clock::now();
+    publishTelemetry("serving", round, sup.checkpointWriteFailures());
 
-    publishTelemetry("serving", round, checkpoint_write_failures);
-
-    for (; round < cfg_.rounds; ++round) {
-        if (cancellationRequested()) {
-            outcome = RunOutcome::Cancelled;
-            break;
-        }
-        if (res.wall_budget_ms > 0.0 &&
-            MsDouble(Clock::now() - run_start).count() >=
-                res.wall_budget_ms) {
-            outcome = RunOutcome::BudgetExhausted;
-            break;
-        }
-
+    for (; round < cfg_.rounds && sup.admit(cancellationRequested());
+         ++round) {
         const Clock::time_point round_start = Clock::now();
 
         flightFrame(round);
@@ -701,107 +678,30 @@ MultiStreamRunner::run(const ResilienceConfig &res)
 
         evaluateSlo(round);
         publishRound(round);
-        publishTelemetry("serving", round + 1, checkpoint_write_failures);
-
-        if (res.frame_deadline_ms > 0.0 &&
-            MsDouble(Clock::now() - round_start).count() >
-                res.frame_deadline_ms) {
-            outcome = RunOutcome::DeadlineExceeded;
-            ++round;
-            break;
-        }
-
-        if (!res.checkpoint_path.empty() && res.checkpoint_every > 0 &&
-            (round + 1) % res.checkpoint_every == 0 &&
-            static_cast<int>(round + 1) >= ckpt_retry_at) {
-            try {
-                saveCheckpoint(res.checkpoint_path, round + 1);
-                ckpt_backoff = 0;
-                ckpt_retry_at = -1;
-                if (res.die_after_checkpoints > 0 &&
-                    ++checkpoints_written >= res.die_after_checkpoints) {
-                    std::fflush(nullptr);
-                    std::raise(SIGKILL);
-                }
-            } catch (const Exception &e) {
-                // Same skip-with-backoff ladder as runSupervised: a
-                // checkpoint that cannot land must not kill the serving
-                // rounds that produced it.
-                ++checkpoint_write_failures;
-                ckpt_backoff =
-                    std::min<uint32_t>(ckpt_backoff ? ckpt_backoff * 2 : 1,
-                                       64);
-                ckpt_retry_at = static_cast<int>(
-                    round + 1 +
-                    ckpt_backoff *
-                        std::max<uint32_t>(1, res.checkpoint_every));
-                logWarn("MultiStreamRunner: checkpoint write failed (" +
-                        e.error().describe() + "); retrying at round " +
-                        std::to_string(ckpt_retry_at));
-                if (obs_) {
-                    auto guard = obs_->metrics().updateGuard();
-                    obs_->metrics()
-                        .counter("checkpoint.write_failed")
-                        .inc();
-                }
-                flightEvent("checkpoint.write_failed", "resilience");
-            }
-        }
+        publishTelemetry("serving", round + 1,
+                         sup.checkpointWriteFailures());
+        sup.commit(static_cast<int>(round + 1),
+                   MsDouble(Clock::now() - round_start).count());
 
         if (cfg_.round_sleep_ms > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(cfg_.round_sleep_ms));
     }
+    sup.finish(static_cast<int>(round));
 
-    if (outcome == RunOutcome::DeadlineExceeded ||
-        outcome == RunOutcome::BudgetExhausted)
-        flightDump("watchdog");
-
-    if (obs_)
-        obs_->flush();
-
-    uint32_t completed = 0;
+    MultiStreamManifest m;
+    m.outcome = sup.outcome();
     for (const auto &r : rows_)
         for (const StreamRoundRow &row : r)
-            completed = std::max(completed, row.round + 1);
-
-    MultiStreamManifest manifest = buildManifest(outcome, completed, round);
-    manifest.checkpoint_write_failures = checkpoint_write_failures;
-    if (!res.checkpoint_path.empty()) {
-        try {
-            saveCheckpoint(res.checkpoint_path, round);
-        } catch (const Exception &e) {
-            ++manifest.checkpoint_write_failures;
-            logWarn("MultiStreamRunner: final checkpoint write failed (" +
-                    e.error().describe() + ")");
-            // The run's durable state just failed to land: preserve the
-            // last moments for the post-mortem.
-            flightDump("io");
-        }
-        manifest.checkpoint = res.checkpoint_path;
-    }
-    publishTelemetry(runOutcomeName(outcome), round,
-                     manifest.checkpoint_write_failures);
-    return manifest;
-}
-
-MultiStreamManifest
-MultiStreamRunner::buildManifest(RunOutcome outcome,
-                                 uint32_t rounds_completed,
-                                 uint32_t next_round) const
-{
-    MultiStreamManifest m;
-    m.outcome = outcome;
-    m.rounds_completed = rounds_completed;
-    m.next_round = next_round;
-    for (const auto &st : streams_) {
-        StreamManifestEntry e;
-        e.name = st->name;
-        e.quarantined = st->dead;
-        e.error = st->error;
-        e.at_round = st->quarantined_at;
-        m.streams.push_back(std::move(e));
-    }
+            m.rounds_completed = std::max(m.rounds_completed, row.round + 1);
+    m.next_round = round;
+    m.checkpoint = res.checkpoint_path;
+    m.checkpoint_write_failures = sup.checkpointWriteFailures();
+    for (const auto &st : streams_)
+        m.streams.push_back(
+            {st->name, st->dead, st->error, st->quarantined_at});
+    publishTelemetry(runOutcomeName(m.outcome), round,
+                     m.checkpoint_write_failures);
     return m;
 }
 

@@ -24,7 +24,8 @@
  *
  * Robustness mirrors MultiConfigRunner: a stream that throws is
  * quarantined (its shared-L2 blocks are released to the survivors and
- * it stops participating), rounds checkpoint to a crash-safe snapshot,
+ * it stops participating), rounds run under the same RunSupervisor as
+ * a sweep's frames (cancellation, deadline, budget, checkpoint ladder),
  * and overload is shed gracefully — a stream exceeding its host
  * bandwidth budget gets an LOD bias applied during replay (the PR-1
  * MIP-fallback idea turned into admission control) instead of stalling
@@ -233,8 +234,10 @@ class MultiStreamRunner
      * Run (or resume) the configured rounds under the given
      * supervision policy. Returns the manifest; per-stream faults are
      * quarantined into it, never thrown.
-     * @throws mltc::Exception on checkpoint I/O failures and on
-     *         VersionMismatch / Corrupt resume snapshots.
+     * @throws mltc::Exception — BadArgument for a restart_limit (streams
+     *         have no revival) or a resume without a checkpoint path;
+     *         Io / VersionMismatch / Corrupt on an unreadable or
+     *         damaged resume snapshot.
      */
     MultiStreamManifest run(const ResilienceConfig &res);
 
@@ -321,9 +324,6 @@ class MultiStreamRunner
                           int checkpoint_write_failures);
     void saveCheckpoint(const std::string &path, uint32_t next_round) const;
     uint32_t loadCheckpoint(const std::string &path);
-    MultiStreamManifest buildManifest(RunOutcome outcome,
-                                      uint32_t rounds_completed,
-                                      uint32_t next_round) const;
 
     MultiStreamConfig cfg_;
     std::vector<std::unique_ptr<StreamRuntime>> streams_;

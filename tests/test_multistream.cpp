@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/audit.hpp"
+#include "obs/observability.hpp"
 #include "sim/animation_driver.hpp"
 #include "sim/multi_stream_runner.hpp"
 #include "workload/registry.hpp"
@@ -50,6 +51,21 @@ fileBytes(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** The bytes of every stream's CSV, written under @p tag. */
+std::vector<std::string>
+streamCsvs(const MultiStreamRunner &runner, const std::string &tag)
+{
+    std::vector<std::string> bytes;
+    for (uint32_t i = 0; i < runner.streamCount(); ++i) {
+        const std::string path =
+            tempPath(tag + ".stream" + std::to_string(i) + ".csv");
+        runner.writeStreamCsv(i, path);
+        bytes.push_back(fileBytes(path));
+        std::remove(path.c_str());
+    }
+    return bytes;
 }
 
 /** Small-but-real config: full workloads, tiny screen and caches. */
@@ -327,13 +343,7 @@ TEST(MultiStream, SigkillResumeIsBitIdentical)
     {
         MultiStreamRunner runner(ms);
         EXPECT_EQ(runner.run({}).outcome, RunOutcome::Completed);
-        for (uint32_t i = 0; i < runner.streamCount(); ++i) {
-            const std::string path =
-                tempPath("ref.stream" + std::to_string(i) + ".csv");
-            runner.writeStreamCsv(i, path);
-            reference.push_back(fileBytes(path));
-            std::remove(path.c_str());
-        }
+        reference = streamCsvs(runner, "ref");
     }
 
     const std::string snap = tempPath("multistream.snap");
@@ -362,14 +372,74 @@ TEST(MultiStream, SigkillResumeIsBitIdentical)
     resume.resume = true;
     MultiStreamRunner resumed(ms);
     EXPECT_EQ(resumed.run(resume).outcome, RunOutcome::Completed);
-    for (uint32_t i = 0; i < resumed.streamCount(); ++i) {
-        const std::string path =
-            tempPath("res.stream" + std::to_string(i) + ".csv");
-        resumed.writeStreamCsv(i, path);
-        EXPECT_EQ(fileBytes(path), reference[i]) << "stream " << i;
-        std::remove(path.c_str());
-    }
+    EXPECT_EQ(streamCsvs(resumed, "res"), reference);
     std::remove(snap.c_str());
+}
+
+TEST(MultiStream, DeadlineStopsAfterFirstRoundAndResumes)
+{
+    MultiStreamConfig ms = base(L2SharePolicy::Utility, 512ull << 10);
+    ms.rounds = 4;
+    ms.streams.push_back(spec("village", FilterMode::Bilinear));
+    ms.streams.push_back(spec(kThrasherWorkload, FilterMode::Bilinear));
+
+    std::vector<std::string> reference;
+    {
+        MultiStreamRunner runner(ms);
+        EXPECT_EQ(runner.run({}).outcome, RunOutcome::Completed);
+        reference = streamCsvs(runner, "deadline.ref");
+    }
+
+    // Every round overruns a 1 ns deadline: the run stops after round 0
+    // and its final checkpoint resumes at round 1.
+    const std::string snap = tempPath("multistream.deadline.snap");
+    ResilienceConfig res;
+    res.checkpoint_path = snap;
+    res.frame_deadline_ms = 0.000001;
+    {
+        MultiStreamRunner runner(ms);
+        const MultiStreamManifest m = runner.run(res);
+        EXPECT_EQ(m.outcome, RunOutcome::DeadlineExceeded);
+        EXPECT_EQ(m.rounds_completed, 1u);
+        EXPECT_EQ(m.next_round, 1u);
+    }
+
+    ResilienceConfig resume;
+    resume.checkpoint_path = snap;
+    resume.resume = true;
+    MultiStreamRunner resumed(ms);
+    EXPECT_EQ(resumed.run(resume).outcome, RunOutcome::Completed);
+    EXPECT_EQ(streamCsvs(resumed, "deadline.res"), reference);
+    std::remove(snap.c_str());
+    std::remove((snap + ".prev").c_str());
+}
+
+TEST(MultiStream, FailingCheckpointsBackOffExponentially)
+{
+    // Every commit fails (its directory does not exist). With a commit
+    // due every round, attempts land at next-round 1, 2, 4 and 8 — the
+    // skip doubles after each failure — plus the final one at 12.
+    MultiStreamConfig ms = base(L2SharePolicy::Shared);
+    ms.rounds = 12;
+    ms.streams.push_back(spec(kThrasherWorkload, FilterMode::Bilinear));
+    const std::string metrics = tempPath("multistream.ladder.jsonl");
+    ObsConfig oc;
+    oc.metrics_path = metrics;
+    Observability obs(oc, /*install_process_hooks=*/false);
+    MultiStreamRunner runner(ms);
+    runner.setObservability(&obs);
+    ResilienceConfig res;
+    res.checkpoint_path = tempPath("no-such-dir") + "/ladder.snap";
+    res.checkpoint_every = 1;
+    const MultiStreamManifest m = runner.run(res);
+    EXPECT_EQ(m.outcome, RunOutcome::Completed);
+    EXPECT_EQ(m.rounds_completed, 12u);
+    EXPECT_EQ(m.checkpoint_write_failures, 5);
+    // The counter tracks the periodic attempts; the final one is only
+    // in the manifest.
+    EXPECT_EQ(obs.metrics().counterValue("checkpoint.write_failed"), 4u);
+    obs.close();
+    std::remove(metrics.c_str());
 }
 
 TEST(MultiStream, ChecksSharePolicyParsing)
@@ -395,6 +465,28 @@ TEST(MultiStream, RejectsInvalidConfiguration)
     no_rounds.rounds = 0;
     no_rounds.streams.push_back(spec("village", FilterMode::Bilinear));
     EXPECT_THROW(MultiStreamRunner{no_rounds}, std::invalid_argument);
+
+    // Supervision the stream runner cannot honour is refused up front,
+    // naming the flag: streams have no revival ladder, and a resume
+    // needs a checkpoint to resume from.
+    MultiStreamConfig ok = base(L2SharePolicy::Shared);
+    ok.streams.push_back(spec(kThrasherWorkload, FilterMode::Bilinear));
+    ResilienceConfig restart;
+    restart.restart_limit = 1;
+    ResilienceConfig resume;
+    resume.resume = true;
+    for (const auto &[res, flag] : {std::pair{restart, "--restart-limit"},
+                                    std::pair{resume, "--resume"}}) {
+        MultiStreamRunner runner(ok);
+        try {
+            runner.run(res);
+            ADD_FAILURE() << flag << " accepted";
+        } catch (const Exception &e) {
+            EXPECT_EQ(e.code(), ErrorCode::BadArgument) << flag;
+            EXPECT_NE(e.error().message.find(flag), std::string::npos)
+                << e.error().message;
+        }
+    }
 }
 
 TEST(BandwidthGovernor, HysteresisStepsUpFastAndDownSlow)

@@ -16,6 +16,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "obs/observability.hpp"
 #include "sim/multi_config_runner.hpp"
 #include "workload/village.hpp"
 
@@ -302,26 +303,89 @@ TEST(ResumeEquivalence, CheckpointRejectsMismatchedRunner)
 
 TEST(ResumeEquivalence, WallBudgetStopsEarlyWithCheckpoint)
 {
+    // Both watchdogs: a budget exhausted at the first gate, and a 1 ns
+    // deadline that every frame overruns, so the run stops after frame
+    // 0. Either way the final checkpoint resumes to a straight run.
     const std::string snap = tempSnap("resume_eq_budget");
     clearCancellation();
+    Workload ref_wl = tiny();
+    MultiConfigRunner ref(ref_wl, driver(FilterMode::Trilinear, 4));
+    addSims(ref, {});
+    ref.run();
+
+    ResilienceConfig budget;
+    budget.wall_budget_ms = 0.000001;
+    ResilienceConfig deadline;
+    deadline.frame_deadline_ms = 0.000001;
+    for (ResilienceConfig rc : {budget, deadline}) {
+        const bool by_deadline = rc.frame_deadline_ms > 0.0;
+        rc.checkpoint_path = snap;
+        Workload wl = tiny();
+        MultiConfigRunner sup(wl, driver(FilterMode::Trilinear, 4));
+        addSims(sup, {});
+        RunManifest m = sup.runSupervised(rc);
+        EXPECT_EQ(m.outcome, by_deadline ? RunOutcome::DeadlineExceeded
+                                         : RunOutcome::BudgetExhausted);
+        EXPECT_LT(m.frames_completed, 4);
+        EXPECT_EQ(m.next_frame, by_deadline ? 1 : m.frames_completed);
+
+        // The checkpoint written at the stop is a valid resume point.
+        Workload wl2 = tiny();
+        MultiConfigRunner rest(wl2, driver(FilterMode::Trilinear, 4));
+        addSims(rest, {});
+        ResilienceConfig resume;
+        resume.checkpoint_path = snap;
+        resume.resume = true;
+        EXPECT_EQ(rest.runSupervised(resume).outcome, RunOutcome::Completed);
+        expectRowsEqual(ref.rows(), rest.rows(),
+                        by_deadline ? "deadline" : "budget");
+    }
+    std::remove(snap.c_str());
+    std::remove((snap + ".prev").c_str());
+    std::remove((snap + ".manifest").c_str());
+}
+
+TEST(ResumeEquivalence, FailingCheckpointsBackOffExponentially)
+{
+    // Every commit fails (its directory does not exist). With a commit
+    // due every frame, attempts land at next-frame 1, 2, 4 and 8 — the
+    // skip doubles after each failure — plus the final one at 12.
+    const std::string metrics = tempSnap("resume_eq_ladder") + ".jsonl";
+    ObsConfig oc;
+    oc.metrics_path = metrics;
+    Observability obs(oc, /*install_process_hooks=*/false);
+    clearCancellation();
     Workload wl = tiny();
-    MultiConfigRunner sup(wl, driver(FilterMode::Trilinear, 50));
+    MultiConfigRunner sup(wl, driver(FilterMode::Bilinear, 12));
+    addSims(sup, {});
+    sup.setObservability(&obs);
+    ResilienceConfig rc;
+    rc.checkpoint_path = tempSnap("no-such-dir") + "/ladder.snap";
+    rc.checkpoint_every = 1;
+    RunManifest m = sup.runSupervised(rc);
+    EXPECT_EQ(m.outcome, RunOutcome::Completed);
+    EXPECT_EQ(m.frames_completed, 12);
+    EXPECT_EQ(m.checkpoint_write_failures, 5);
+    // The counter tracks the periodic attempts; the final one is only
+    // in the manifest.
+    EXPECT_EQ(obs.metrics().counterValue("checkpoint.write_failed"), 4u);
+    obs.close();
+    std::remove(metrics.c_str());
+}
+
+TEST(ResumeEquivalence, ResumeWithoutCheckpointPathIsBadArgument)
+{
+    Workload wl = tiny();
+    MultiConfigRunner sup(wl, driver(FilterMode::Bilinear, 2));
     addSims(sup, {});
     ResilienceConfig rc;
-    rc.checkpoint_path = snap;
-    rc.wall_budget_ms = 0.000001; // exhausted after the first frame
-    RunManifest m = sup.runSupervised(rc);
-    EXPECT_EQ(m.outcome, RunOutcome::BudgetExhausted);
-    EXPECT_LT(m.frames_completed, 50);
-    EXPECT_EQ(m.next_frame, m.frames_completed);
-
-    // The checkpoint written at the stop is a valid resume point.
-    Workload wl2 = tiny();
-    MultiConfigRunner rest(wl2, driver(FilterMode::Trilinear, 50));
-    addSims(rest, {});
-    EXPECT_EQ(rest.loadCheckpoint(snap), m.next_frame);
-    std::remove(snap.c_str());
-    std::remove((snap + ".manifest").c_str());
+    rc.resume = true;
+    try {
+        sup.runSupervised(rc);
+        FAIL() << "resume without a checkpoint path accepted";
+    } catch (const Exception &e) {
+        EXPECT_EQ(e.code(), ErrorCode::BadArgument);
+    }
 }
 
 } // namespace
